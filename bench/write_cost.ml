@@ -11,13 +11,20 @@
     On the locator backend the rows cover both read modes; on TL2
     (always invisible, clock-validated) there is a single mode.
 
+    It also reports the minor words one [Tvar.make] allocates — the
+    variable's whole footprint (record, locator cell, initial locator,
+    stamp cell).
+
     Usage: write_cost.exe [iters] [--backend locator|tl2] [--check]
 
-    [--check] is the @write-smoke / @tl2-smoke sanity bound.  On the
-    locator backend it enforces the absolute minor-words budget for
-    the steady-state 4-write transaction (catching an accidental
-    reintroduction of per-open allocation).  On TL2 it additionally
-    runs the same workload on the locator backend and fails if the
+    [--check] is the @write-smoke / @tl2-smoke sanity bound.  On
+    either backend it enforces a ceiling of 16 minor words per
+    [Tvar.make] (15 today; the reader slots that visible mode once
+    kept in every variable cost 32).  On the locator backend it
+    enforces the absolute minor-words budget for the steady-state
+    4-write transaction (catching an accidental reintroduction of
+    per-open allocation).  On TL2 it additionally runs the same
+    workload on the locator backend and fails if the
     TL2 uncontended commit allocates more minor words per commit than
     the locator's — the PR-4 allocation discipline must carry over to
     the second backend, not just to the first. *)
@@ -163,6 +170,18 @@ let rows_for backend =
         bench_read_only ~backend `Visible 8;
       ]
 
+(* Minor words per [Tvar.make], averaged over 100k makes on one
+   domain. *)
+let tvar_words () =
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Sys.opaque_identity (Tvar.make i))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let tvar_budget = 16.0
+
 (* Index of the steady-state 4-write row in [rows_for] — the gated
    workload for both backends. *)
 let w4_index = 1
@@ -177,7 +196,16 @@ let () =
       Printf.printf "  %-30s %12.1f %14.2f %14.2f\n" r.label r.ns_per_txn
         r.minor_per_commit r.major_per_commit)
     rows;
+  let tw = tvar_words () in
+  Printf.printf "  %-30s %12s %14.2f\n" "Tvar.make" "" tw;
   if checking then begin
+    if tw > tvar_budget then begin
+      Printf.eprintf "write-smoke FAIL: Tvar.make allocates %.2f minor words (budget %.0f)\n"
+        tw tvar_budget;
+      exit 1
+    end;
+    Printf.printf "write-smoke OK: %.2f minor words per Tvar.make (budget %.0f)\n" tw
+      tvar_budget;
     (* Absolute ceiling: the steady-state 4-write transaction must stay
        well under the pre-pooling cost (~138 minor words per commit;
        pooled it measures ~14.4 on the locator — the fixed per-attempt

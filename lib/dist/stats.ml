@@ -26,6 +26,22 @@ let percentile p xs =
       let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
       List.nth sorted (max 0 (min (n - 1) (rank - 1)))
 
+(** Several nearest-rank percentiles from one sort of a copy of [xs]:
+    [(percentiles ps xs).(i)] is exactly [percentile ps.(i)] of the
+    same samples ([Float.compare] orders floats as [compare] does). *)
+let percentiles ps xs =
+  let n = Array.length xs in
+  if n = 0 then Array.map (fun _ -> nan) ps
+  else begin
+    let sorted = Array.copy xs in
+    Array.sort Float.compare sorted;
+    Array.map
+      (fun p ->
+        let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
+        sorted.(max 0 (min (n - 1) (rank - 1))))
+      ps
+  end
+
 let median xs = percentile 50. xs
 
 (** Coefficient of variation — used to demonstrate the "high variance"

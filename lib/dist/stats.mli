@@ -8,6 +8,11 @@ val percentile : float -> float list -> float
 (** Nearest-rank percentile, [p] in [0, 100]; [nan] on an empty
     sample list. *)
 
+val percentiles : float array -> float array -> float array
+(** [percentiles ps xs]: the nearest-rank percentile of [xs] for each
+    [p] in [ps], from one sort of a copy of [xs] (not modified) — the
+    same values {!percentile} gives, [nan]s on an empty sample. *)
+
 val median : float list -> float
 
 val cv : float list -> float

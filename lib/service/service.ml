@@ -100,6 +100,7 @@ module Agg = struct
          (fun c ->
            let i = Sclass.index c in
            let lats = t.lats.(i) in
+           let pcts = Tcm_dist.Stats.percentiles [| 50.; 99. |] (Array.of_list lats) in
            {
              cls = c;
              submitted = t.submitted.(i);
@@ -110,8 +111,8 @@ module Agg = struct
              attainment =
                (if t.submitted.(i) = 0 then nan
                 else float_of_int t.slo_ok.(i) /. float_of_int t.submitted.(i));
-             p50_us = Tcm_dist.Stats.percentile 50. lats;
-             p99_us = Tcm_dist.Stats.percentile 99. lats;
+             p50_us = pcts.(0);
+             p99_us = pcts.(1);
              mean_us = Tcm_dist.Stats.mean lats;
            })
          Sclass.all)
@@ -383,7 +384,9 @@ let run (cfg : config) : summary =
   Agg.merge_into ~into:total gen_agg;
   Array.iter (fun a -> Agg.merge_into ~into:total a) worker_aggs;
   let classes = Agg.class_stats total in
-  let all_lats = Agg.all_lats total in
+  let all_pcts =
+    Tcm_dist.Stats.percentiles [| 50.; 99. |] (Array.of_list (Agg.all_lats total))
+  in
   let sum f = List.fold_left (fun acc c -> acc + f c) 0 classes in
   let submitted = sum (fun c -> c.submitted) in
   let completed = sum (fun c -> c.completed) in
@@ -401,8 +404,8 @@ let run (cfg : config) : summary =
     elapsed_s = elapsed;
     throughput = float_of_int completed /. elapsed;
     offered = float_of_int submitted /. elapsed;
-    p50_us = Tcm_dist.Stats.percentile 50. all_lats;
-    p99_us = Tcm_dist.Stats.percentile 99. all_lats;
+    p50_us = all_pcts.(0);
+    p99_us = all_pcts.(1);
     queue_high_water = Squeue.high_water q;
     queue_spills = gen_spills.(0);
     gen_minor_words_per_req =

@@ -8,11 +8,13 @@
 
     Two read modes are supported:
 
-    - [`Visible] (default): readers register on the variable; writers
-      resolve each active reader through the contention manager after
-      acquiring the locator.  This makes read-write conflicts go
-      through the manager (the paper's model) and yields serializable
-      executions without commit-time validation.
+    - [`Visible] (default): readers log the variable in their
+      domain's read log ([Tvar.log_read]); writers scan the other
+      domains' logs after acquiring the locator and resolve each
+      active reader through the contention manager.  This makes
+      read-write conflicts go through the manager (the paper's model)
+      and yields serializable executions without commit-time
+      validation.
     - [`Invisible]: DSTM-style invisible reads with incremental
       (TL2-style) validation.  Each transaction keeps a watermark
       [valid_upto]: the global stamp-clock value at which its whole
@@ -57,10 +59,9 @@
     path: final validation alone, with no status CAS and no stamp
     publication (nothing was published that other transactions could
     observe, so no terminal status needs to be advertised).  Visible
-    mode cannot skip the CAS: registered reader-slot entries are
-    reclaimed by writers {e only} when the registrant's status is
-    decided, so a forever-Active reader descriptor would pin its slots
-    and stall writers. *)
+    mode keeps the CAS: it is what detects an abort by a writer, which
+    may have gone on to commit over a variable this attempt had yet to
+    read. *)
 
 let backend_name = "locator"
 
@@ -154,6 +155,7 @@ and per_domain = {
   hot : Tcm_obs.Hot.t;
       (** This domain's hot-key sketch; fed tvar ids at conflicts. *)
   pool : Tvar.pool;  (** This domain's locator freelist + hazard slot. *)
+  rlog : Tvar.read_log;  (** This domain's visible-read log. *)
   scratch : tx;
       (** The domain's reusable transaction context; reset (by lengths
           and field stores, never reallocation) at each attempt start. *)
@@ -217,6 +219,7 @@ let create ?(config = default_config) cm =
               Tcm_obs.Hot.for_manager ~runtime:"live" ~backend:backend_name
                 (Cm_intf.name cm);
             pool = Tvar.domain_pool ();
+            rlog = Tvar.domain_read_log ();
             scratch;
             running = false;
           }
@@ -415,18 +418,18 @@ let validate tx = validate_extend tx ~extend:false
 (* Open for write                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* After acquiring the locator, resolve every active visible reader.
-   Readers registering after our CAS observe us as active owner and
-   resolve from their side, so scanning once per remaining active
-   reader suffices for mutual awareness. *)
+(* After acquiring the locator, resolve every active visible reader on
+   another domain.  Readers logging the variable after our CAS observe
+   us as active owner and resolve from their side, so scanning once per
+   remaining active reader suffices for mutual awareness. *)
 let rec drain_readers tx tvar attempts =
   check_self tx;
-  match Tvar.find_active_reader tvar tx.txn with
-  | None -> Tvar.purge_readers tvar
-  | Some r ->
-      Tcm_obs.Hot.record tx.dom.hot (Tvar.id tvar);
-      resolve_conflict tx ~other:r ~attempts;
-      drain_readers tx tvar (attempts + 1)
+  let r = Tvar.find_reader tx.dom.rlog tvar in
+  if r != Txn.committed_sentinel then begin
+    Tcm_obs.Hot.record tx.dom.hot (Tvar.id tvar);
+    resolve_conflict tx ~other:r ~attempts;
+    drain_readers tx tvar (attempts + 1)
+  end
 
 (* Open [tvar] for writing and return the transaction's tentative
    value for it.  With [put = true] the tentative value becomes [v];
@@ -574,56 +577,42 @@ let write tx tvar v = ignore (open_write tx tvar ~put:true v 0)
 let rec read_visible : 'a. tx -> 'a Tvar.t -> int -> 'a =
   fun tx tvar attempts ->
    check_self tx;
+   (* Publish the read before loading the locator: a writer whose
+      install CAS follows the publication finds us in its scan, and
+      one whose CAS precedes it is found by the load below. *)
+   Tvar.log_read tx.dom.rlog tvar.Tvar.id;
    let loc = Atomic.get tvar.Tvar.loc in
    let g = Tvar.locator_gen loc in
    if (not (Tvar.gen_stable g)) || Atomic.get tvar.Tvar.loc != loc then
      read_visible tx tvar attempts
-   else if loc.Tvar.owner == tx.txn then begin
-     let v = loc.Tvar.new_v in
-     if Tvar.locator_gen loc = g then v
-     else begin
-       check_self tx;
-       raise Abort_attempt
-     end
-   end
    else begin
-     Tvar.register_reader tvar tx.txn;
-     (* Re-read after registration: any writer that acquired before our
-        registration either drained us (sees us in the list) or is
-        observed right here. *)
-     let loc = Atomic.get tvar.Tvar.loc in
-     let g = Tvar.locator_gen loc in
-     if (not (Tvar.gen_stable g)) || Atomic.get tvar.Tvar.loc != loc then
-       read_visible tx tvar attempts
-     else begin
-       let owner = loc.Tvar.owner in
-       if owner == tx.txn then begin
-         let v = loc.Tvar.new_v in
-         if Tvar.locator_gen loc = g then v
-         else begin
-           check_self tx;
-           raise Abort_attempt
-         end
-       end
+     let owner = loc.Tvar.owner in
+     if owner == tx.txn then begin
+       let v = loc.Tvar.new_v in
+       if Tvar.locator_gen loc = g then v
        else begin
-         let st = Txn.status owner in
-         let v =
-           match st with Status.Committed -> loc.Tvar.new_v | _ -> loc.Tvar.old_v
-         in
-         if Tvar.locator_gen loc <> g then
-           (* Recycled under us: fields (and [owner]) may mix
-              incarnations; retry from a fresh locator load. *)
-           read_visible tx tvar attempts
-         else
-           match st with
-           | Status.Active ->
-               Tcm_obs.Hot.record tx.dom.hot (Tvar.id tvar);
-               resolve_conflict tx ~other:owner ~attempts;
-               read_visible tx tvar (attempts + 1)
-           | Status.Committed | Status.Aborted ->
-               cm_opened tx;
-               v
+         check_self tx;
+         raise Abort_attempt
        end
+     end
+     else begin
+       let st = Txn.status owner in
+       let v =
+         match st with Status.Committed -> loc.Tvar.new_v | _ -> loc.Tvar.old_v
+       in
+       if Tvar.locator_gen loc <> g then
+         (* Recycled under us: fields (and [owner]) may mix
+            incarnations; retry from a fresh locator load. *)
+         read_visible tx tvar attempts
+       else
+         match st with
+         | Status.Active ->
+             Tcm_obs.Hot.record tx.dom.hot (Tvar.id tvar);
+             resolve_conflict tx ~other:owner ~attempts;
+             read_visible tx tvar (attempts + 1)
+         | Status.Committed | Status.Aborted ->
+             cm_opened tx;
+             v
      end
    end
 
@@ -734,14 +723,12 @@ let commit tx =
   match tx.cfg.read_mode with
   | `Invisible when tx.n_writes = 0 ->
       (* Read-only fast path: the transaction published nothing — no
-         locators, no reader-slot entries, no waiting flag — so no
-         other transaction ever consults its status, and final
-         validation alone decides the commit.  The status CAS and
-         stamp publication are skipped entirely.  (Writers keep the
-         CAS: their locators make the attempt's status the variables'
-         pending value, and visible-mode readers keep it too — their
-         reader-slot entries are reclaimed only once the status is
-         decided.) *)
+         locators, no read-log entries, no waiting flag — so no other
+         transaction ever consults its status, and final validation
+         alone decides the commit.  The status CAS and stamp
+         publication are skipped entirely.  (Writers keep the CAS:
+         their locators make the attempt's status the variables'
+         pending value.) *)
       (match validate tx with () -> true | exception Abort_attempt -> false)
   | `Invisible -> (
       match validate tx with
@@ -749,7 +736,10 @@ let commit tx =
           publish_stamps tx;
           Txn.try_commit tx.txn
       | exception Abort_attempt -> false)
-  | `Visible -> Txn.try_commit tx.txn
+  | `Visible ->
+      (* No validation; the CAS fails iff a writer aborted us (see the
+         header on why read-only attempts keep it). *)
+      Txn.try_commit tx.txn
 
 (* One attempt bookkeeping cycle.  Top-level (not a closure inside
    [atomically]) so the per-transaction path allocates nothing beyond
@@ -763,6 +753,7 @@ let finish_abort dom tx m_t0 =
   (* An abort can be raised while the hazard slot covers a locator
      (validation inside [acquire], conflict resolution mid-drain). *)
   Tvar.unprotect dom.pool;
+  Tvar.end_reads dom.rlog;
   clear_logs tx;
   Tcm_trace.Sink.attempt_abort ~txid:(Txn.timestamp tx.txn)
     ~attempt:tx.txn.Txn.attempt_id ~tick:0;
@@ -781,6 +772,9 @@ let rec attempt_loop : 'a. t -> per_domain -> tx -> (tx -> 'a) -> Txn.shared -> 
    | Some m when n > m -> raise (Too_many_attempts n)
    | _ -> ());
    let txn = Txn.new_attempt shared in
+   (match rt.config.read_mode with
+   | `Visible -> Tvar.begin_reads dom.rlog txn
+   | `Invisible -> ());
    tx.txn <- txn;
    tx.read_len <- 0;
    tx.valid_upto <- Tvar.now ();
@@ -806,6 +800,7 @@ let rec attempt_loop : 'a. t -> per_domain -> tx -> (tx -> 'a) -> Txn.shared -> 
             committed read set's entries (and the values they close
             over) do not stay pinned by the scratch descriptor. *)
          Tvar.unprotect dom.pool;
+         Tvar.end_reads dom.rlog;
          clear_logs tx;
          tick dom.shard ix_commits;
          Tcm_trace.Sink.attempt_commit ~txid:(Txn.timestamp txn)
@@ -830,7 +825,7 @@ let rec attempt_loop : 'a. t -> per_domain -> tx -> (tx -> 'a) -> Txn.shared -> 
        (* The caller is waiting for another transaction to change the
           state it checked: yield first (the writer is often already
           runnable), then pause geometrically. *)
-       if wait_round = 0 then Unix.sleepf 0.
+       if wait_round = 0 then Runtime_intf.yield ()
        else
          sleep_usec
            (min rt.config.backoff_cap_usec

@@ -126,6 +126,12 @@ let pp_stats fmt s =
 
 let sleep_usec usec = if usec > 0 then Unix.sleepf (float_of_int usec *. 1e-6)
 
+(* [sched_yield(2)]: give up the CPU to another runnable thread and
+   return at once.  [Unix.sleepf 0.] is a [nanosleep], which sleeps for
+   the kernel's timer slack (tens of microseconds) even when nothing
+   else wants the CPU. *)
+external yield : unit -> unit = "tcm_sched_yield" [@@noalloc]
+
 (* Adaptive waiting: spin on the CPU hint first (an enemy on another
    core often finishes within nanoseconds), then yield the timeslice,
    then sleep with geometrically growing pauses capped at [cap_usec].
@@ -136,7 +142,7 @@ let yield_rounds = 16
 
 let wait_step ~round ~cap_usec =
   if round < spin_rounds then Domain.cpu_relax ()
-  else if round < spin_rounds + yield_rounds then Unix.sleepf 0.
+  else if round < spin_rounds + yield_rounds then yield ()
   else
     let r = round - spin_rounds - yield_rounds in
     sleep_usec (min cap_usec (1 lsl min r 10))

@@ -650,7 +650,7 @@ let rec attempt_loop : 'a. t -> per_domain -> tx -> (tx -> 'a) -> Txn.shared -> 
        attempt_loop rt dom tx f shared 0 (n + 1)
    | exception Retry_wait ->
        finish_abort dom tx m_t0;
-       if wait_round = 0 then Unix.sleepf 0.
+       if wait_round = 0 then Runtime_intf.yield ()
        else
          Runtime_intf.sleep_usec
            (min rt.config.backoff_cap_usec

@@ -63,24 +63,23 @@
     pooled locator pins its last [owner]/[old_v]/[new_v] until reuse;
     the bound keeps that retention O(pool_cap) per domain.
 
-    {1 Per-variable bookkeeping}
+    {1 Stamps and readers}
 
-    Two pieces of per-variable bookkeeping support the runtime's hot
-    paths:
+    [version] is a stamp drawn from a global clock, advanced by
+    invisible-mode writers when they install a locator and again just
+    before they publish a commit.  Invisible readers use it for
+    incremental validation: a read set known valid at clock value [g]
+    stays valid as long as no variable in it carries a stamp above
+    [g], so the common-case read validates one variable instead of
+    re-checking the whole set.
 
-    - [version] is a stamp drawn from a global clock, advanced by
-      invisible-mode writers when they install a locator and again just
-      before they publish a commit.  Invisible readers use it for
-      incremental validation: a read set known valid at clock value [g]
-      stays valid as long as no variable in it carries a stamp above
-      [g], so the common-case read validates one variable instead of
-      re-checking the whole set.
-
-    - Visible readers register in a small fixed array of {e reader
-      slots} (CAS-claimed, lazily reclaimed when the registrant dies)
-      with a list-based overflow for the rare case of more simultaneous
-      readers than slots.  Registration and writer-side scans are
-      allocation-free while the slots suffice. *)
+    Visible readers are not recorded in the variable.  Each domain
+    keeps one {e read log} — the ids its current attempt [cur] has
+    read, published by an SC store of [len] before the reader loads
+    the locator — and a writer scans the other domains' logs after
+    its SC install CAS (Dekker: one side sees the other).  [len] is
+    reset only once [cur] is decided, and a scan re-checks [cur], so
+    an entry is never pinned on an attempt that did not log it. *)
 
 type 'a locator = {
   mutable owner : Txn.t;
@@ -96,8 +95,6 @@ type 'a t = {
   id : int;
   loc : 'a locator Atomic.t;
   version : int Atomic.t;
-  reader_slots : Txn.t Atomic.t array;
-  reader_overflow : Txn.t list Atomic.t;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -167,30 +164,31 @@ type pool = {
 
 let pool_cap = 64
 
-(* All live hazard slots, scanned by [take_locator].  One slot per
-   domain-with-a-pool; domains are few, so a list scan per pool pop is
-   cheap.  A slot is removed when its domain exits (the domain runs no
-   transaction by then, so the slot is idle) — otherwise workloads that
-   churn short-lived domains would grow the list without bound and
-   every pop would scan the full history. *)
+(* Process-wide registries of per-domain cells (hazard slots, read
+   logs).  A cell is registered when its domain first uses it and
+   dropped when the domain exits (it runs no transaction by then) —
+   otherwise workloads that churn short-lived domains would grow the
+   lists without bound, and every scan would walk the full history.
+   Domains are few, so a list scan per use is cheap. *)
+let rec unregister reg x =
+  let l = Atomic.get reg in
+  if not (Atomic.compare_and_set reg l (List.filter (fun y -> y != x) l)) then
+    unregister reg x
+
+let rec register_for_domain reg x =
+  let l = Atomic.get reg in
+  if Atomic.compare_and_set reg l (x :: l) then Domain.at_exit (fun () -> unregister reg x)
+  else register_for_domain reg x
+
+(* All live hazard slots, scanned by [take_locator]. *)
 let hazard_registry : Obj.t Atomic.t list Atomic.t = Atomic.make []
-
-let rec register_hazard h =
-  let l = Atomic.get hazard_registry in
-  if not (Atomic.compare_and_set hazard_registry l (h :: l)) then register_hazard h
-
-let rec unregister_hazard h =
-  let l = Atomic.get hazard_registry in
-  let l' = List.filter (fun x -> x != h) l in
-  if not (Atomic.compare_and_set hazard_registry l l') then unregister_hazard h
 
 let hazard_slot_count () = List.length (Atomic.get hazard_registry)
 
 let pool_key =
   Domain.DLS.new_key (fun () ->
       let hazard = Atomic.make no_hazard in
-      register_hazard hazard;
-      Domain.at_exit (fun () -> unregister_hazard hazard);
+      register_for_domain hazard_registry hazard;
       { items = Array.make pool_cap dummy_locator; len = 0; last_hit = false; hazard })
 
 let domain_pool () = Domain.DLS.get pool_key
@@ -270,10 +268,6 @@ let recycle_locator (p : pool) (loc : 'a locator) =
 (* Construction & inspection                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* An empty reader slot.  The sentinel is permanently committed, hence
-   never an active reader, so scans need no separate emptiness test. *)
-let no_reader = Txn.committed_sentinel
-
 let make v =
   {
     id = Txid.next_tvar_id ();
@@ -281,10 +275,6 @@ let make v =
       Atomic.make
         { owner = Txn.committed_sentinel; old_v = v; new_v = v; gen = Atomic.make 0 };
     version = Atomic.make 0;
-    reader_slots =
-      [| Atomic.make no_reader; Atomic.make no_reader; Atomic.make no_reader;
-         Atomic.make no_reader |];
-    reader_overflow = Atomic.make [];
   }
 
 let id t = t.id
@@ -338,79 +328,93 @@ let rec peek t =
     if Atomic.get loc.gen = g then v else peek t
 
 (* ------------------------------------------------------------------ *)
-(* Visible readers                                                     *)
+(* Visible readers: per-domain read logs                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Filter out dead readers, reporting whether any died, in one pass. *)
-let rec live_readers acc died = function
-  | [] -> (List.rev acc, died)
-  | r :: rest ->
-      if Txn.is_active r then live_readers (r :: acc) died rest
-      else live_readers acc true rest
+type read_log = {
+  mutable ids : int array;
+      (** Ids read by the current attempt, in [[0, len)].  Written only
+          by the owning domain. *)
+  len : int Atomic.t;
+  cur : Txn.t Atomic.t;
+      (** The attempt the entries belong to; left in place (decided,
+          hence never a reader) once it ends. *)
+}
 
-(* The registration loops live at top level: local recursive functions
-   would close over the variable and the transaction, allocating two
-   closures per visible read — the read path must stay
-   allocation-free. *)
-let rec rr_overflow t (txn : Txn.t) =
-  let rs = Atomic.get t.reader_overflow in
-  if List.memq txn rs then ()
-  else
-    let live, _ = live_readers [] false rs in
-    if not (Atomic.compare_and_set t.reader_overflow rs (txn :: live)) then
-      rr_overflow t txn
+(* Arrays above this capacity are replaced when their attempt ends, so
+   one huge transaction does not keep a huge log on the domain. *)
+let ids_retain_cap = 1024
 
-let rec rr_slot t (txn : Txn.t) slots n i =
-  if i = n then rr_overflow t txn
-  else
-    let cell = slots.(i) in
-    let r = Atomic.get cell in
-    if r == txn then ()
-    else if Txn.is_active r then rr_slot t txn slots n (i + 1)
-    else if Atomic.compare_and_set cell r txn then ()
-    else rr_slot t txn slots n i (* lost the race for this slot; re-examine it *)
+let new_ids () = Array.make 64 0
 
-(** Register [txn] as a visible reader.  The scan stops at the first
-    slot that already holds [txn] or at the first claimable (dead)
-    slot, so the common case — a lone reader claiming slot 0, or
-    re-reading a variable it already registered on — costs one load
-    and at most one CAS, with no allocation.  The early exit tolerates
-    the occasional duplicate registration (a transaction can claim an
-    earlier slot than the one it already holds): visibility only
-    requires {e at least} one live entry, writers drain until no
-    active reader remains, and dead duplicates are reclaimed lazily
-    like any other entry.  Only when every slot holds a live reader
-    does registration fall back to the CAS'd overflow list. *)
-let register_reader t (txn : Txn.t) =
-  rr_slot t txn t.reader_slots (Array.length t.reader_slots) 0
+(* Every live domain's log, scanned by writers. *)
+let log_registry : read_log list Atomic.t = Atomic.make []
 
-let rec far_overflow (txn : Txn.t) = function
-  | [] -> None
-  | r :: rest -> if r != txn && Txn.is_active r then Some r else far_overflow txn rest
+let read_log_count () = List.length (Atomic.get log_registry)
 
-let rec far_slot t (txn : Txn.t) slots n i =
-  if i = n then far_overflow txn (Atomic.get t.reader_overflow)
-  else
-    let r = Atomic.get slots.(i) in
-    if r != txn && Txn.is_active r then Some r else far_slot t txn slots n (i + 1)
+let log_key =
+  Domain.DLS.new_key (fun () ->
+      let l =
+        { ids = new_ids (); len = Atomic.make 0; cur = Atomic.make Txn.committed_sentinel }
+      in
+      register_for_domain log_registry l;
+      l)
 
-(** First active reader other than [txn], if any.  Allocation-free
-    while the overflow list is empty. *)
-let find_active_reader t (txn : Txn.t) =
-  far_slot t txn t.reader_slots (Array.length t.reader_slots) 0
+let domain_read_log () = Domain.DLS.get log_key
 
-(** Opportunistically drop dead reader entries: dead slots are reset to
-    the sentinel, and the overflow list is rebuilt in a single pass —
-    the CAS is skipped entirely when nothing died. *)
-let purge_readers t =
-  Array.iter
-    (fun s ->
-      let r = Atomic.get s in
-      if r != no_reader && not (Txn.is_active r) then
-        ignore (Atomic.compare_and_set s r no_reader))
-    t.reader_slots;
-  match Atomic.get t.reader_overflow with
-  | [] -> ()
-  | rs ->
-      let live, died = live_readers [] false rs in
-      if died then ignore (Atomic.compare_and_set t.reader_overflow rs live)
+let end_reads l =
+  if Atomic.get l.len <> 0 then begin
+    Atomic.set l.len 0;
+    if Array.length l.ids > ids_retain_cap then l.ids <- new_ids ()
+  end
+
+(* An active [cur] is another runtime's transaction we are nested in; a
+   decided one may have left entries (it nested us before noticing its
+   abort), dropped before they can be credited to [txn]. *)
+let begin_reads l (txn : Txn.t) =
+  if Txn.is_active (Atomic.get l.cur) then
+    invalid_arg "Runtime.atomically: visible transaction nested in another runtime's";
+  end_reads l;
+  Atomic.set l.cur txn
+
+(* A repeat of the newest entry (a read retried after a conflict) is
+   already published.  A grown array is swapped in before the [len]
+   store that publishes its new entry. *)
+let log_read l id =
+  let n = Atomic.get l.len in
+  if n = 0 || l.ids.(n - 1) <> id then begin
+    if n = Array.length l.ids then begin
+      let a = Array.make (2 * n) 0 in
+      Array.blit l.ids 0 a 0 n;
+      l.ids <- a
+    end;
+    l.ids.(n) <- id;
+    Atomic.set l.len (n + 1)
+  end
+
+let rec ids_mem (ids : int array) id i n =
+  i < n && (ids.(i) = id || ids_mem ids id (i + 1) n)
+
+(* [cur] is loaded before and after the scan.  Unchanged, every entry
+   seen was logged by that attempt (the previous attempt's [len] reset
+   precedes the [cur] store; the next attempt's entries follow it).
+   Changed, the scanned attempt has ended, and a later one logged its
+   reads after our install CAS, so its own locator load finds us:
+   reporting nothing is safe.  [len] is loaded before [ids], so the
+   array holds every published entry; the [min] covers a shrink. *)
+let rec find_in ~mid logs own id =
+  match logs with
+  | [] -> Txn.committed_sentinel
+  | l :: rest ->
+      let c = Atomic.get l.cur in
+      if l != own && Txn.is_active c then begin
+        let n = Atomic.get l.len in
+        let ids = l.ids in
+        mid ();
+        if ids_mem ids id 0 (min n (Array.length ids)) && Atomic.get l.cur == c then c
+        else find_in ~mid rest own id
+      end
+      else find_in ~mid rest own id
+
+let find_reader own t = find_in ~mid:ignore (Atomic.get log_registry) own t.id
+let find_reader_racing ~mid own t = find_in ~mid (Atomic.get log_registry) own t.id

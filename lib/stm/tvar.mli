@@ -37,10 +37,12 @@
     is known valid at, turning the common-case revalidation into a
     single load (see [Runtime]).
 
-    Visible readers register in a fixed array of CAS-claimed reader
-    slots (allocation-free in the common case) with a list overflow,
-    so writers resolve read-write conflicts through the contention
-    manager, matching the paper's conflict definition. *)
+    Visible readers are recorded in one read log per domain, not in
+    the variable: a read appends the variable's id to its domain's log
+    and publishes it before loading the locator, and a writer scans
+    the other domains' logs after its install CAS, so writers resolve
+    read-write conflicts through the contention manager, matching the
+    paper's conflict definition. *)
 
 type 'a locator = {
   mutable owner : Txn.t;
@@ -55,8 +57,6 @@ type 'a t = {
   id : int;
   loc : 'a locator Atomic.t;
   version : int Atomic.t;  (** Stamp of the last invisible-writer event. *)
-  reader_slots : Txn.t Atomic.t array;
-  reader_overflow : Txn.t list Atomic.t;
 }
 
 val make : 'a -> 'a t
@@ -153,16 +153,49 @@ val advance_stamp : int Atomic.t -> int -> unit
 val bump_version : 'a t -> unit
 (** Move the variable's stamp past every watermark taken so far. *)
 
-(** {2 Visible readers} *)
+(** {2 Visible readers (per-domain read logs)} *)
 
-val register_reader : 'a t -> Txn.t -> unit
-(** Add a visible reader; reclaims dead slots lazily, allocation-free
-    while the slot array suffices.  May leave a duplicate entry for a
-    re-reading transaction (benign: writers drain every live entry). *)
+type read_log
+(** A domain's visible-read log: the variable ids its current attempt
+    has read.  Written only by the owning domain; scanned by writers
+    on other domains. *)
 
-val find_active_reader : 'a t -> Txn.t -> Txn.t option
-(** First active reader other than the given transaction. *)
+val domain_read_log : unit -> read_log
+(** The calling domain's log (created and registered on first use;
+    shared by every runtime on the domain, dropped from the registry
+    when the domain exits). *)
 
-val purge_readers : 'a t -> unit
-(** Opportunistically drop dead reader entries (single pass; no CAS
-    when nothing died). *)
+val begin_reads : read_log -> Txn.t -> unit
+(** Make the given attempt the log's owner, dropping entries a decided
+    attempt left; call before its first read.
+    @raise Invalid_argument while another attempt owning the log is
+    still active: a visible transaction of one runtime nested in
+    another runtime's on the same domain, whose entries it would clear
+    or claim.  (Nesting on one runtime flattens and never gets here.) *)
+
+val log_read : read_log -> int -> unit
+(** Log a read of the variable with this id and publish it with one SC
+    store of the log's length.  Load the variable's locator only after
+    this returns: the store pairs with a writer's SC install CAS, so
+    either the writer's scan finds the entry or the reader's load finds
+    the writer (Dekker). *)
+
+val end_reads : read_log -> unit
+(** Empty the log; call only once the attempt's status is decided (a
+    decided attempt is no reader, so its entries may vanish). *)
+
+val find_reader : read_log -> 'a t -> Txn.t
+(** An active attempt on another domain (not the owner of the given
+    log) that logged a read of the variable, or
+    [Txn.committed_sentinel], which is never active.  Call after the
+    install CAS. *)
+
+val find_reader_racing : mid:(unit -> unit) -> read_log -> 'a t -> Txn.t
+(** {!find_reader} that runs [mid] in the middle of each scanned log's
+    scan, after its [len] load and before its entries are compared —
+    the window in which the scanned domain may switch attempts
+    (tests). *)
+
+val read_log_count : unit -> int
+(** Number of registered read logs — one per live domain that has
+    used one (tests). *)

@@ -121,14 +121,17 @@ let run ?poll (cfg : config) : outcome =
   done;
   let stop = Atomic.make false in
   let per_thread = Array.make cfg.threads 0 in
-  let latencies = Array.make cfg.threads [] in
+  (* Per-domain latency samples in flat float arrays: unboxed, no list
+     cell per sample. *)
+  let latencies = Array.make cfg.threads [||] in
   let minor_w = Array.make cfg.threads 0. in
   let major_w = Array.make cfg.threads 0. in
   let body tid () =
     let g0 = Gc.quick_stat () in
     let rng = Splitmix.create (cfg.seed + (tid * 7919) + 1) in
     let count = ref 0 in
-    let samples = ref [] in
+    let samples = ref (Array.make 1024 0.) in
+    let n_samples = ref 0 in
     while not (Atomic.get stop) do
       let key = Splitmix.int rng cfg.key_range in
       let r = Splitmix.int rng max_int in
@@ -145,11 +148,20 @@ let run ?poll (cfg : config) : outcome =
              in
              if cfg.post_work > 0 then spin cfg.post_work;
              res));
-      if sampling then samples := (Unix.gettimeofday () -. t0) *. 1e6 :: !samples;
+      if sampling then begin
+        let n = !n_samples in
+        if n = Array.length !samples then begin
+          let a = Array.make (2 * n) 0. in
+          Array.blit !samples 0 a 0 n;
+          samples := a
+        end;
+        !samples.(n) <- (Unix.gettimeofday () -. t0) *. 1e6;
+        n_samples := n + 1
+      end;
       incr count
     done;
     per_thread.(tid) <- !count;
-    latencies.(tid) <- !samples;
+    latencies.(tid) <- Array.sub !samples 0 !n_samples;
     let g1 = Gc.quick_stat () in
     minor_w.(tid) <- g1.Gc.minor_words -. g0.Gc.minor_words;
     major_w.(tid) <- g1.Gc.major_words -. g0.Gc.major_words
@@ -176,7 +188,7 @@ let run ?poll (cfg : config) : outcome =
   let elapsed = Unix.gettimeofday () -. t0 in
   let s = Stm.stats rt in
   let commits = Array.fold_left ( + ) 0 per_thread in
-  let all_latencies = Array.fold_left (fun acc l -> List.rev_append l acc) [] latencies in
+  let pcts = Stats.percentiles [| 50.; 99. |] (Array.concat (Array.to_list latencies)) in
   let wx =
     Tcm_metrics.Conventions.for_workload
       ~workload:(structure_name cfg.structure)
@@ -192,8 +204,8 @@ let run ?poll (cfg : config) : outcome =
     throughput = float_of_int commits /. elapsed;
     per_thread;
     elapsed_s = elapsed;
-    latency_p50_us = Stats.percentile 50. all_latencies;
-    latency_p99_us = Stats.percentile 99. all_latencies;
+    latency_p50_us = pcts.(0);
+    latency_p99_us = pcts.(1);
     minor_words = Array.fold_left ( +. ) 0. minor_w;
     major_words = Array.fold_left ( +. ) 0. major_w;
     stats = s;

@@ -102,21 +102,89 @@ let t_tvar_ids_unique () =
   let a = Tvar.make 0 and b = Tvar.make 0 in
   check_bool "distinct ids" true (Tvar.id a <> Tvar.id b)
 
+(* Visible readers live in per-domain read logs.  The main domain plays
+   the reader (its log is driven directly), a spawned domain the writer
+   that scans the other domains' logs. *)
+let scan_from_other_domain ?mid v =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let own = Tvar.domain_read_log () in
+         match mid with
+         | None -> Tvar.find_reader own v
+         | Some mid -> Tvar.find_reader_racing ~mid own v))
+
+let no_reader = Txn.committed_sentinel
+
 let t_tvar_readers () =
   let v = Tvar.make 0 in
+  let log = Tvar.domain_read_log () in
   let t1 = Txn.new_attempt (Txn.new_shared ()) in
+  Tvar.begin_reads log t1;
+  (* Enough other entries first that the log grows before [v]'s. *)
+  for i = 1 to 100 do
+    Tvar.log_read log (-i)
+  done;
+  Tvar.log_read log (Tvar.id v);
+  Tvar.log_read log (Tvar.id v);
+  check_bool "reader on another domain found" true (scan_from_other_domain v == t1);
+  check_bool "unread variable has no reader" true
+    (scan_from_other_domain (Tvar.make 0) == no_reader);
+  check_bool "own domain's log skipped" true (Tvar.find_reader log v == no_reader);
+  ignore (Txn.try_abort t1);
+  Tvar.end_reads log
+
+let t_tvar_reader_decided () =
+  let v = Tvar.make 0 in
+  let log = Tvar.domain_read_log () in
+  let t1 = Txn.new_attempt (Txn.new_shared ()) in
+  Tvar.begin_reads log t1;
+  Tvar.log_read log (Tvar.id v);
+  ignore (Txn.try_commit t1);
+  check_bool "committed reader not found (log not yet reset)" true
+    (scan_from_other_domain v == no_reader);
+  Tvar.end_reads log;
   let t2 = Txn.new_attempt (Txn.new_shared ()) in
-  Tvar.register_reader v t1;
-  Tvar.register_reader v t1;
-  (* idempotent *)
-  Tvar.register_reader v t2;
-  (match Tvar.find_active_reader v t1 with
-  | Some r -> check_int "finds the other reader" t2.Txn.attempt_id r.Txn.attempt_id
-  | None -> Alcotest.fail "expected an active reader");
+  Tvar.begin_reads log t2;
+  Tvar.log_read log (Tvar.id v);
+  check_bool "next attempt found" true (scan_from_other_domain v == t2);
   ignore (Txn.try_abort t2);
-  check_bool "dead readers skipped" true (Tvar.find_active_reader v t1 = None);
-  Tvar.purge_readers v;
-  ignore (Txn.try_abort t1)
+  check_bool "aborted reader not found" true (scan_from_other_domain v == no_reader);
+  Tvar.end_reads log
+
+(* The scanned domain switches attempts mid-scan: the old attempt read
+   only [w], the new one logs [v] into the same slot the scan is about
+   to compare.  Attributing that entry to the old attempt would report a
+   reader that never read [v]; the scan must report nothing. *)
+let t_tvar_reader_scan_race () =
+  let v = Tvar.make 0 and w = Tvar.make 0 in
+  let log = Tvar.domain_read_log () in
+  let t1 = Txn.new_attempt (Txn.new_shared ()) in
+  Tvar.begin_reads log t1;
+  Tvar.log_read log (Tvar.id w);
+  let t2 = Txn.new_attempt (Txn.new_shared ()) in
+  let switched = ref false in
+  let mid () =
+    if not !switched then begin
+      switched := true;
+      ignore (Txn.try_abort t1);
+      Tvar.end_reads log;
+      Tvar.begin_reads log t2;
+      Tvar.log_read log (Tvar.id v)
+    end
+  in
+  check_bool "racing scan reports nothing" true (scan_from_other_domain ~mid v == no_reader);
+  check_bool "the switch happened mid-scan" true !switched;
+  check_bool "the new attempt is found by the next scan" true (scan_from_other_domain v == t2);
+  ignore (Txn.try_abort t2);
+  Tvar.end_reads log
+
+let t_tvar_read_log_registry_compacts () =
+  ignore (Tvar.domain_read_log ());
+  let base = Tvar.read_log_count () in
+  for _ = 1 to 16 do
+    Domain.join (Domain.spawn (fun () -> ignore (Tvar.domain_read_log ())))
+  done;
+  check_int "dead domains' logs unregistered" base (Tvar.read_log_count ())
 
 (* ------------------------------------------------------------------ *)
 (* Runtime: single-threaded semantics                                  *)
@@ -326,6 +394,90 @@ let t_conservation_greedy () = conservation_run "greedy"
 let t_conservation_karma () = conservation_run "karma"
 let t_conservation_aggressive () = conservation_run "aggressive"
 let t_conservation_polka () = conservation_run "polka"
+
+(* A visible transaction of a second runtime nested in a first
+   runtime's on the same domain would share its read log: rejected. *)
+let t_nested_other_runtime_rejected () =
+  let rt1 = rt_with "greedy" and rt2 = rt_with "greedy" in
+  let v = Tvar.make 0 in
+  Alcotest.check_raises "nesting rejected"
+    (Invalid_argument "Runtime.atomically: visible transaction nested in another runtime's")
+    (fun () ->
+      Stm.atomically rt1 (fun tx ->
+          ignore (Stm.read tx v);
+          Stm.atomically rt2 (fun tx' -> Stm.write tx' v 1)));
+  Stm.atomically rt2 (fun tx -> Stm.write tx v 2);
+  Stm.atomically rt1 (fun tx -> Stm.write tx v (Stm.read tx v + 1));
+  check_int "both runtimes usable afterwards" 3 (Tvar.peek v)
+
+(* The same nesting inside an attempt an enemy already aborted runs
+   (the outer attempt is doomed and will restart), but the nested
+   attempt must not be credited with the dead attempt's reads. *)
+let t_nested_in_doomed_attempt () =
+  let rt1 = rt_with "greedy" and rt2 = rt_with "greedy" in
+  let v = Tvar.make 0 and w = Tvar.make 0 in
+  let attempts = ref 0 in
+  Stm.atomically rt1 (fun tx ->
+      incr attempts;
+      ignore (Stm.read tx v);
+      if !attempts = 1 then begin
+        Option.iter (fun t -> ignore (Txn.try_abort t)) (Stm.current_txn rt1);
+        Stm.atomically rt2 (fun tx' ->
+            ignore (Stm.read tx' w);
+            check_bool "dead attempt's read not credited" true
+              (scan_from_other_domain v == no_reader);
+            check_bool "nested attempt's read found" true
+              (scan_from_other_domain w != no_reader))
+      end);
+  check_int "outer restarted once" 2 !attempts
+
+(* Write skew in visible mode, in rounds: each round starts from
+   x = 1, y = 0, and both domains at once run a transaction that
+   decrements its own variable only when x + y >= 1.  Every serial
+   order leaves x + y = 0; if a writer missed a reader logged on the
+   other domain, both would decrement and leave -1. *)
+let t_visible_write_skew () =
+  let rt = rt_with "greedy" in
+  let x = Tvar.make 1 and y = Tvar.make 0 in
+  let rounds = 2_000 in
+  let round = Atomic.make 1 and arrived = Atomic.make 0 in
+  let torn = Atomic.make 0 and skewed = Atomic.make 0 in
+  (* Spin briefly (so both domains leave the barrier together), then
+     yield, in case the two domains share one CPU. *)
+  let spin_until cond =
+    let n = ref 0 in
+    while not (cond ()) do
+      incr n;
+      if !n land 1023 = 0 then Runtime_intf.yield () else Domain.cpu_relax ()
+    done
+  in
+  let body d own () =
+    for r = 1 to rounds do
+      spin_until (fun () -> Atomic.get round >= r);
+      Stm.atomically rt (fun tx ->
+          let s = Stm.read tx x + Stm.read tx y in
+          if s < 0 then Atomic.incr torn;
+          (* Widen the read-to-write window so the rounds overlap. *)
+          let t0 = Unix.gettimeofday () in
+          while Unix.gettimeofday () -. t0 < 2e-6 do
+            Domain.cpu_relax ()
+          done;
+          if s >= 1 then Stm.write tx own (Stm.read tx own - 1));
+      Atomic.incr arrived;
+      if d = 0 then begin
+        spin_until (fun () -> Atomic.get arrived >= 2 * r);
+        if Tvar.peek x + Tvar.peek y < 0 then Atomic.incr skewed;
+        Stm.atomically rt (fun tx ->
+            Stm.write tx x 1;
+            Stm.write tx y 0);
+        Atomic.set round (r + 1)
+      end
+    done
+  in
+  let doms = [ Domain.spawn (body 0 x); Domain.spawn (body 1 y) ] in
+  List.iter Domain.join doms;
+  check_int "snapshots with x + y < 0" 0 (Atomic.get torn);
+  check_int "rounds ending with x + y < 0" 0 (Atomic.get skewed)
 
 let t_counter_exact () =
   let rt = rt_with "greedy" in
@@ -898,6 +1050,10 @@ let () =
           Alcotest.test_case "peek" `Quick t_tvar_peek;
           Alcotest.test_case "unique ids" `Quick t_tvar_ids_unique;
           Alcotest.test_case "reader registration" `Quick t_tvar_readers;
+          Alcotest.test_case "decided reader not found" `Quick t_tvar_reader_decided;
+          Alcotest.test_case "scan racing an attempt switch" `Quick t_tvar_reader_scan_race;
+          Alcotest.test_case "read-log registry compacts on domain exit" `Quick
+            t_tvar_read_log_registry_compacts;
         ] );
       ( "runtime",
         [
@@ -908,6 +1064,10 @@ let () =
           Alcotest.test_case "retry_now reruns" `Quick t_retry_now;
           Alcotest.test_case "max_attempts enforced" `Quick t_max_attempts;
           Alcotest.test_case "nested atomically flattens" `Quick t_nested_flattens;
+          Alcotest.test_case "visible nesting across runtimes rejected" `Quick
+            t_nested_other_runtime_rejected;
+          Alcotest.test_case "visible nesting inside a doomed attempt" `Quick
+            t_nested_in_doomed_attempt;
           Alcotest.test_case "stats accumulate" `Quick t_stats_accumulate;
           Alcotest.test_case "manager name" `Quick t_manager_name;
           Alcotest.test_case "invisible-read semantics" `Quick t_invisible_mode_semantics;
@@ -949,6 +1109,7 @@ let () =
           Alcotest.test_case "conservation (aggressive)" `Quick t_conservation_aggressive;
           Alcotest.test_case "conservation (polka)" `Quick t_conservation_polka;
           Alcotest.test_case "counter has no lost updates" `Quick t_counter_exact;
+          Alcotest.test_case "visible write skew (two domains)" `Quick t_visible_write_skew;
           Alcotest.test_case "disjoint domains never conflict" `Quick t_disjoint_domains;
           Alcotest.test_case "invisible mode write-path counter" `Quick t_concurrent_invisible;
         ] );

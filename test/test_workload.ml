@@ -31,6 +31,32 @@ let t_percentile () =
   check_bool "empty is nan" true (Float.is_nan (Stats.percentile 50. []));
   check_bool "empty median is nan" true (Float.is_nan (Stats.median []))
 
+(* [percentiles] must give exactly [percentile]'s values, samples with
+   repeats and every rank edge included. *)
+let t_percentiles_match () =
+  let rng = Tcm_stm.Splitmix.create 17 in
+  let ps = [| 0.; 1.; 25.; 50.; 90.; 99.; 99.9; 100. |] in
+  for trial = 0 to 199 do
+    let n = if trial < 10 then trial else 1 + Tcm_stm.Splitmix.int rng 3000 in
+    let xs =
+      Array.init n (fun _ ->
+          if Tcm_stm.Splitmix.bool rng then float_of_int (Tcm_stm.Splitmix.int rng 50)
+          else Tcm_stm.Splitmix.float rng *. 1e4)
+    in
+    let got = Stats.percentiles ps xs in
+    let before = Array.copy xs in
+    ignore (Stats.percentiles ps xs);
+    check_bool "input left unsorted" true (before = xs);
+    Array.iteri
+      (fun i p ->
+        let want = Stats.percentile p (Array.to_list xs) in
+        if n = 0 then check_bool "empty is nan" true (Float.is_nan got.(i))
+        else
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "n=%d p%g" n p) want got.(i))
+      ps
+  done
+
 let t_json_emit () =
   let open Report.Json in
   Alcotest.(check string) "compact; non-finite floats are null"
@@ -529,6 +555,7 @@ let () =
           Alcotest.test_case "mean" `Quick t_mean;
           Alcotest.test_case "stddev" `Quick t_stddev;
           Alcotest.test_case "percentiles" `Quick t_percentile;
+          Alcotest.test_case "percentiles match percentile" `Quick t_percentiles_match;
           Alcotest.test_case "json emitter" `Quick t_json_emit;
           Alcotest.test_case "json parse roundtrip" `Quick t_json_parse_roundtrip;
           Alcotest.test_case "coefficient of variation" `Quick t_cv;
