@@ -270,13 +270,14 @@ let run_ablations () =
       let r = Tcm_sim.Engine.run_instance ~horizon:20_000 ~policy:p inst in
       Format.fprintf fmt "  %-12s survivors-committed=%d/3 finished=%b@."
         r.Tcm_sim.Engine.policy_name r.Tcm_sim.Engine.commits r.Tcm_sim.Engine.completed)
-    [
-      Tcm_sim.Policy.greedy ();
-      Tcm_sim.Policy.greedy_ft ();
-      Tcm_sim.Policy.timestamp ();
-      Tcm_sim.Policy.killblocked ();
-      Tcm_sim.Policy.aggressive ();
-    ];
+    (List.map (Tcm_sim.Policy.of_factory ~seed)
+       [
+         (module Tcm_core.Greedy);
+         (module Tcm_core.Greedy_ft);
+         (module Tcm_core.Timestamp);
+         (module Tcm_core.Killblocked);
+         (module Tcm_core.Aggressive);
+       ]);
   Format.fprintf fmt "@.";
 
   section "Ablation: greedy vs greedy-ft on the chain (no failures)";
@@ -289,7 +290,7 @@ let run_ablations () =
       in
       Format.fprintf fmt "  s=%2d greedy=%4d greedy-ft=%4d@." s
         (m (Tcm_sim.Policy.greedy ()))
-        (m (Tcm_sim.Policy.greedy_ft ())))
+        (m (Tcm_sim.Policy.of_factory ~seed (module Tcm_core.Greedy_ft))))
     (if quick then [ 4 ] else [ 4; 8; 12 ]);
   Format.fprintf fmt "@.";
 
@@ -400,7 +401,7 @@ let run_open_problems () =
   Format.fprintf fmt "  s=%d  greedy(arrival order) makespan=%d ticks@." s greedy_m;
   Format.fprintf fmt
     "  rand-greedy over %d seeds: mean=%.1f  median=%.1f  max=%.1f  (optimal=4)@." trials
-    (Stats.mean rand_ms) (Stats.median rand_ms)
+    (Tcm_dist.Stats.mean rand_ms) (Tcm_dist.Stats.median rand_ms)
     (List.fold_left Float.max 0. rand_ms);
   Format.fprintf fmt "@.";
 
@@ -429,7 +430,8 @@ let run_open_problems () =
             r.Tcm_sim.Engine.policy_name m hot_work
             (float_of_int m /. float_of_int hot_work)
       | None -> Format.fprintf fmt "  %-12s did not finish@." r.Tcm_sim.Engine.policy_name)
-    [ Tcm_sim.Policy.greedy (); Tcm_sim.Policy.karma (); Tcm_sim.Policy.aggressive () ];
+    (List.map (Tcm_sim.Policy.of_factory ~seed)
+       [ (module Tcm_core.Greedy); (module Tcm_core.Karma); (module Tcm_core.Aggressive) ]);
   Format.fprintf fmt "@."
 
 (* ------------------------------------------------------------------ *)
@@ -786,7 +788,8 @@ let run_trace_capture path =
         fun _ -> Some (Tcm_sim.Spec.txn ~dur:3 [ Tcm_sim.Spec.write ~at:0 ~obj:0 ]))
   in
   ignore
-    (Tcm_sim.Engine.run ~horizon:60 ~policy:(Tcm_sim.Policy.aggressive ())
+    (Tcm_sim.Engine.run ~horizon:60
+       ~policy:(Tcm_sim.Policy.of_factory ~seed (module Tcm_core.Aggressive))
        ~n_objects:1 duel);
   Tcm_trace.Sink.stop ();
   let duel_tr = Tcm_trace.Sink.collect () in
@@ -835,7 +838,8 @@ let run_metrics_capture path =
                Some (Tcm_sim.Spec.txn ~dur:3 [ Tcm_sim.Spec.write ~at:0 ~obj ]))
       in
       ignore (Tcm_sim.Engine.run ~horizon:5_000 ~policy:p ~n_objects:5 streams))
-    [ Tcm_sim.Policy.greedy (); Tcm_sim.Policy.karma (); Tcm_sim.Policy.aggressive () ];
+    (List.map (Tcm_sim.Policy.of_factory ~seed)
+       [ (module Tcm_core.Greedy); (module Tcm_core.Karma); (module Tcm_core.Aggressive) ]);
   Tcm_metrics.Sampler.force sampler;
   Tcm_metrics.disable ();
   let snap = Tcm_metrics.snapshot () in

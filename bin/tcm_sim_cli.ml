@@ -70,8 +70,7 @@ let cycle () =
         r.Tcm_sim.Engine.completed
         (match r.Tcm_sim.Engine.makespan with Some m -> string_of_int m | None -> "-")
         r.Tcm_sim.Engine.aborts)
-    (Tcm_sim.Policy.queue_on_block ~mode:`Unbounded ()
-    :: Tcm_sim.Policy.all ~seed:1 ())
+    (Tcm_sim.Policy.unbounded_queue () :: Tcm_sim.Policy.all ~seed:1 ())
 
 let timeline s policy_name =
   let inst, ranks = Tcm_sim.Scenarios.adversarial_chain ~s () in

@@ -42,6 +42,14 @@ module Cm_state = struct
 
   let line_words = 8 (* ints per 64-byte cache line *)
 
+  (* Set on the creating domain only while {!instantiate_owned} runs a
+     manager's [create]: slots acquired meanwhile go to the caller
+     rather than to a domain-exit hook, and PRNG streams draw their
+     seeds from [seeds] rather than self-seeding. *)
+  type owner = { seeds : Splitmix.t; mutable owned : slot list }
+
+  let owner : owner option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
   (* Slot footprint: the payload rounded up to whole lines, plus one
      line of slack, so two adjacent slots never share a cache line —
      managers on different domains may be carved from one chunk. *)
@@ -115,7 +123,9 @@ module Cm_state = struct
      slots, so a spawned-and-joined domain leaves nothing behind. *)
   let acquire ~words =
     let s = acquire_raw ~words in
-    Domain.at_exit (fun () -> release s);
+    (match Domain.DLS.get owner with
+    | Some o -> o.owned <- s :: o.owned
+    | None -> Domain.at_exit (fun () -> release s));
     s
 
   let live_slots () =
@@ -137,12 +147,17 @@ end
     draw is plain int arithmetic on those cells — unlike the previous
     [Splitmix] wrapper, whose boxed [Int64] state allocated on each
     [next].  Seeded from a process-unique [Splitmix] stream at create
-    time (create-time allocation is fine; draw-time is not). *)
+    time, or from the owner's stream under {!instantiate_owned}
+    (create-time allocation is fine; draw-time is not). *)
 module Prng = struct
   type t = { arr : int array; ix : int }  (* state cells at ix, ix + 1 *)
 
   let seed_cells arr ix =
-    let s = Splitmix.create_self_seeded () in
+    let s =
+      match Domain.DLS.get Cm_state.owner with
+      | Some o -> o.Cm_state.seeds
+      | None -> Splitmix.create_self_seeded ()
+    in
     let nonzero v d = if v = 0 then d else v in
     arr.(ix) <- nonzero (Int64.to_int (Splitmix.next s) land max_int) 0x9E3779B9;
     arr.(ix + 1) <- nonzero (Int64.to_int (Splitmix.next s) land max_int) 0x6C078965
@@ -256,6 +271,25 @@ module Table = struct
 
   let put t key value = put_from t t.arr.(t.base) key value 0
 end
+
+(* ------------------------------------------------------------------ *)
+(* Caller-owned instances                                              *)
+(* ------------------------------------------------------------------ *)
+
+(** A manager instance for a caller that runs many of them on one
+    domain and must reproduce runs (the simulator): PRNG streams are
+    seeded from [seed], and the slots are returned for the caller to
+    release instead of waiting for a domain exit that never comes.
+    Cold path, like [create] itself. *)
+let instantiate_owned ~seed factory =
+  let o = { Cm_state.seeds = Splitmix.create seed; owned = [] } in
+  Domain.DLS.set Cm_state.owner (Some o);
+  let packed =
+    Fun.protect
+      ~finally:(fun () -> Domain.DLS.set Cm_state.owner None)
+      (fun () -> Cm_intf.instantiate factory)
+  in
+  (packed, o.Cm_state.owned)
 
 (* ------------------------------------------------------------------ *)
 (* Backoff helpers                                                     *)

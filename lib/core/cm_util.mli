@@ -46,7 +46,8 @@ end
 (** Deterministic per-instance pseudo-random stream for backoff jitter
     and coin flips.  State is two slab cells; every draw is plain int
     arithmetic — no allocation (the previous [Splitmix]-based wrapper
-    boxed an [Int64] per draw).  Seeded process-uniquely at creation. *)
+    boxed an [Int64] per draw).  Seeded process-uniquely at creation,
+    or deterministically under {!instantiate_owned}. *)
 module Prng : sig
   type t
 
@@ -96,6 +97,16 @@ module Table : sig
   val mem : t -> int -> bool
   val put : t -> int -> int -> unit
 end
+
+val instantiate_owned :
+  seed:int -> Cm_intf.factory -> Cm_intf.packed * Cm_state.slot list
+(** [instantiate_owned ~seed factory] creates an instance whose PRNG
+    streams are seeded deterministically from [seed] and whose slab
+    slots belong to the caller: no domain-exit hook is registered, so
+    release every returned slot with {!Cm_state.release} when done.
+    For the simulator, which runs many seeded instances on one domain;
+    {!Cm_intf.instantiate} keeps the self-seeded, domain-owned
+    behaviour of the live runtimes. *)
 
 val exp_backoff : ?base:int -> ?cap:int -> Prng.t -> int -> int
 (** [exp_backoff prng n] is a truncated-exponential backoff duration in

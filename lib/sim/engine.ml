@@ -17,9 +17,17 @@
     which reproduces the paper's "at time 1 - epsilon, T1 accesses X1,
     aborting T0" scheduling of the Section 4 chain exactly.
 
-    Everything is deterministic: thread-id order breaks ties, policies
-    draw randomness from seeded streams, and timestamps are assigned in
-    arrival order. *)
+    Conflicts are resolved by the real [Tcm_core] managers: each thread
+    holds a live [Txn.t] descriptor and its own manager instance
+    ({!Policy.party}), and the engine fires [begin_attempt], [opened],
+    [committed] and [aborted] at its own events.  Verdict durations are
+    microseconds; {!usec_per_tick} converts them.
+
+    Everything is deterministic: thread-id order breaks ties, manager
+    instances are seeded from the policy seed, and timestamps are
+    assigned in arrival order. *)
+
+open Tcm_stm
 
 type cell_kind = Run | Wait | Back | Idle | Done
 
@@ -42,33 +50,24 @@ type tstate = {
   stream : int -> Spec.txn option;
   mutable txn_index : int;
   mutable txn : Spec.txn option;
-  mutable timestamp : int;
+  party : Policy.party;
+      (** The current attempt's descriptor and this thread's manager
+          instance.  The descriptor's [attempt_id] is the trace-level
+          attempt identity, drawn from the STM runtime's counter, so
+          merged traces never collide. *)
   mutable attempt : int;  (** Global per-thread attempt counter. *)
-  mutable attempt_uid : int;
-      (** Trace-level attempt identity, from the same counter the STM
-          runtime draws [Txn.attempt_id] from, so merged traces never
-          collide. *)
   mutable status : thread_status;
   mutable attempt_start : int;  (** Tick the current attempt began (metrics). *)
-  mutable opens_base : int;
-      (** [opens] at the current attempt's start; the difference is the
-          attempt's read-set size ([opens] itself is cumulative, the
-          policies read it as pressure). *)
+  mutable attempt_opens : int;  (** The current attempt's read-set size. *)
   mutable progress : int;
   mutable pending : Spec.access list;
   mutable held : int list;  (** Objects owned for writing. *)
   mutable reading : int list;  (** Objects registered as reader. *)
-  mutable waiting_flag : bool;
-  priority : int ref;
   mutable aborts : int;
-  mutable opens : int;
   mutable stuck : int;  (** Consecutive resolves at the current access. *)
   mutable commits : int;
   mutable cur_aborts : int;  (** Restarts of the current transaction. *)
   mutable aborted_this_tick : bool;
-  view : Policy.view;
-      (** Cached policy view, refreshed in place by [view_of] before
-          each resolve — no per-conflict allocation. *)
 }
 
 type obj_state = { mutable owner : int option; mutable readers : int list }
@@ -92,13 +91,11 @@ type result = {
 
 let default_horizon = 1_000_000
 
-let view_of (t : tstate) : Policy.view =
-  let v = t.view in
-  v.Policy.timestamp <- t.timestamp;
-  v.Policy.waiting <- t.waiting_flag;
-  v.Policy.aborts <- t.aborts;
-  v.Policy.opens <- t.opens;
-  v
+let usec_per_tick = 50
+
+let ticks_of_usec usec = max 1 ((usec + usec_per_tick - 1) / usec_per_tick)
+
+let timestamp (t : tstate) = Txn.timestamp t.party.Policy.txn
 
 let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
     ?(ts_on_restart = `Keep) ~(policy : Policy.t) ~n_objects
@@ -134,43 +131,30 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
     | Some r when tid < Array.length r -> r.(tid)
     | _ -> fresh_timestamp ()
   in
+  let slots = ref [] in
   let threads =
     Array.init n (fun tid ->
-        (* The cached view shares the [priority] ref with the thread
-           state, so Eruption's pressure transfer lands in both. *)
-        let priority = ref 0 in
+        let party, owned = Policy.instantiate policy ~tid in
+        slots := owned @ !slots;
         {
           tid;
           stream = streams.(tid);
           txn_index = 0;
           txn = None;
-          timestamp = max_int;
+          party;
           attempt = 0;
-          attempt_uid = 0;
           status = Idle_s;
           attempt_start = 0;
-          opens_base = 0;
+          attempt_opens = 0;
           progress = 0;
           pending = [];
           held = [];
           reading = [];
-          waiting_flag = false;
-          priority;
           aborts = 0;
-          opens = 0;
           stuck = 0;
           commits = 0;
           cur_aborts = 0;
           aborted_this_tick = false;
-          view =
-            {
-              Policy.id = tid;
-              timestamp = max_int;
-              waiting = false;
-              priority;
-              aborts = 0;
-              opens = 0;
-            };
         })
   in
   let objs = Array.init n_objects (fun _ -> { owner = None; readers = [] }) in
@@ -199,14 +183,29 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
     t.reading <- []
   in
 
+  (* A new attempt of the logical transaction [shared], starting at
+     [now]: fresh descriptor, the manager's begin hook, bookkeeping. *)
+  let begin_attempt (t : tstate) shared ~now =
+    t.party.Policy.txn <- Txn.new_attempt shared;
+    Policy.begin_attempt t.party;
+    t.attempt <- t.attempt + 1;
+    t.attempt_start <- now;
+    t.attempt_opens <- 0;
+    Tcm_metrics.Conventions.attempt_begin mx;
+    Tcm_trace.Sink.attempt_begin ~txid:(timestamp t)
+      ~attempt:t.party.Policy.txn.Txn.attempt_id ~tick:now
+  in
+
   let abort (victim : tstate) ~now =
     let halted = is_halted victim in
-    Tcm_trace.Sink.attempt_abort ~txid:victim.timestamp
-      ~attempt:victim.attempt_uid ~tick:now;
+    let p = victim.party in
+    ignore (Txn.try_abort p.Policy.txn);
+    Policy.aborted p;
+    Tcm_trace.Sink.attempt_abort ~txid:(timestamp victim)
+      ~attempt:p.Policy.txn.Txn.attempt_id ~tick:now;
     Tcm_metrics.Conventions.attempt_abort mx ~duration:(now - victim.attempt_start);
-    Tcm_obs.Ledger.charge_abort obs ~work:(victim.opens - victim.opens_base);
+    Tcm_obs.Ledger.charge_abort obs ~work:victim.attempt_opens;
     release victim;
-    victim.waiting_flag <- false;
     victim.aborts <- victim.aborts + 1;
     victim.cur_aborts <- victim.cur_aborts + 1;
     max_aborts_one_txn := max !max_aborts_one_txn victim.cur_aborts;
@@ -219,23 +218,20 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
     end
     else begin
       (* Ablation hook: the paper's greedy retains the timestamp across
-         aborts; [`Fresh] deliberately breaks that to demonstrate why. *)
-      (match ts_on_restart with
-      | `Keep -> ()
-      | `Fresh -> victim.timestamp <- fresh_timestamp ());
+         aborts; [`Fresh] deliberately breaks that to demonstrate why,
+         restarting as a new logical transaction. *)
+      let shared =
+        match ts_on_restart with
+        | `Keep -> p.Policy.txn.Txn.shared
+        | `Fresh -> Txn.new_shared_at (fresh_timestamp ())
+      in
       victim.progress <- 0;
       victim.stuck <- 0;
       victim.pending <- (match victim.txn with Some t -> t.Spec.accesses | None -> []);
       victim.aborted_this_tick <- true;
       (* Restart (same timestamp, same txn) at the next tick. *)
       victim.status <- Backing_off_s { until = now + 1 };
-      victim.attempt <- victim.attempt + 1;
-      victim.attempt_uid <- Tcm_stm.Txid.next_attempt_id ();
-      victim.attempt_start <- now + 1;
-      victim.opens_base <- victim.opens;
-      Tcm_metrics.Conventions.attempt_begin mx;
-      Tcm_trace.Sink.attempt_begin ~txid:victim.timestamp
-        ~attempt:victim.attempt_uid ~tick:(now + 1)
+      begin_attempt victim shared ~now:(now + 1)
     end;
     incr total_aborts
   in
@@ -270,10 +266,11 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
           o.readers <- t.tid :: o.readers;
           t.reading <- a.Spec.obj :: t.reading
         end);
-    t.opens <- t.opens + 1;
-    t.priority := !(t.priority) + 1;
+    Txn.record_open t.party.Policy.txn;
+    Policy.opened t.party;
+    t.attempt_opens <- t.attempt_opens + 1;
     t.stuck <- 0;
-    Tcm_trace.Sink.acquired ~txid:t.timestamp ~obj:a.Spec.obj
+    Tcm_trace.Sink.acquired ~txid:(timestamp t) ~obj:a.Spec.obj
       ~write:(a.Spec.kind = Spec.Write) ~tick:now
   in
 
@@ -298,42 +295,37 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
               process_accesses t ~now
           | Some enemy -> (
               let d =
-                policy.Policy.resolve ~me:(view_of t) ~other:(view_of enemy) ~attempts:t.stuck
-                  ~now
+                policy.Policy.resolve ~me:t.party ~other:enemy.party
+                  ~attempts:t.stuck ~now
               in
               (* Trace decision codes double as metrics verdict codes. *)
-              let dcode =
-                match d with
-                | Policy.Abort_other -> Tcm_trace.Event.d_abort_other
-                | Policy.Abort_self -> Tcm_trace.Event.d_abort_self
-                | Policy.Block _ -> Tcm_trace.Event.d_block
-                | Policy.Backoff _ -> Tcm_trace.Event.d_backoff
-              in
+              let dcode = Runtime_intf.decision_trace_code d in
               if Tcm_trace.Sink.enabled () then
-                Tcm_trace.Sink.conflict ~me:t.timestamp ~other:enemy.timestamp
+                Tcm_trace.Sink.conflict ~me:(timestamp t) ~other:(timestamp enemy)
                   ~decision:dcode ~tick:now;
               Tcm_metrics.Conventions.resolve mx dcode;
               Tcm_obs.Hot.record hot a.Spec.obj;
               t.stuck <- t.stuck + 1;
               match d with
-              | Policy.Abort_other ->
+              | Decision.Abort_other ->
                   abort enemy ~now;
                   process_accesses t ~now
-              | Policy.Abort_self -> abort t ~now
-              | Policy.Block { timeout } ->
-                  t.waiting_flag <- true;
-                  Tcm_trace.Sink.wait_begin ~me:t.timestamp
-                    ~enemy:enemy.timestamp ~tick:now;
+              | Decision.Abort_self -> abort t ~now
+              | Decision.Block { timeout_usec } ->
+                  Atomic.set t.party.Policy.txn.Txn.waiting true;
+                  Tcm_trace.Sink.wait_begin ~me:(timestamp t)
+                    ~enemy:(timestamp enemy) ~tick:now;
                   t.status <-
                     Waiting_s
                       {
                         obj = a.Spec.obj;
                         enemy = (enemy.tid, enemy.attempt);
-                        deadline = Option.map (fun d -> now + d) timeout;
+                        deadline =
+                          Option.map (fun us -> now + ticks_of_usec us) timeout_usec;
                         since = now;
                       }
-              | Policy.Backoff d ->
-                  t.status <- Backing_off_s { until = now + max 1 d }))
+              | Decision.Backoff { usec } ->
+                  t.status <- Backing_off_s { until = now + ticks_of_usec usec }))
     | _ -> ()
   in
 
@@ -342,20 +334,14 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
     | None -> t.status <- Finished_s
     | Some txn ->
         t.txn <- Some txn;
-        t.timestamp <-
-          (if t.txn_index = 0 then initial_timestamp t.tid else fresh_timestamp ());
+        let ts =
+          if t.txn_index = 0 then initial_timestamp t.tid else fresh_timestamp ()
+        in
         t.cur_aborts <- 0;
         t.progress <- 0;
         t.pending <- txn.Spec.accesses;
         t.stuck <- 0;
-        t.priority := 0;
-        t.attempt <- t.attempt + 1;
-        t.attempt_uid <- Tcm_stm.Txid.next_attempt_id ();
-        t.attempt_start <- now;
-        t.opens_base <- t.opens;
-        Tcm_metrics.Conventions.attempt_begin mx;
-        Tcm_trace.Sink.attempt_begin ~txid:t.timestamp ~attempt:t.attempt_uid
-          ~tick:now;
+        begin_attempt t (Txn.new_shared_at ts) ~now;
         t.status <- Running_s;
         process_accesses t ~now
   in
@@ -380,19 +366,19 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
               | Some w ->
                   w <> enemy_tid
                   || threads.(w).attempt <> enemy_attempt
-                  || threads.(w).waiting_flag)
+                  || Txn.is_waiting threads.(w).party.Policy.txn)
               || match deadline with Some d -> now >= d | None -> false
             in
             if resume then begin
-              t.waiting_flag <- false;
+              Atomic.set t.party.Policy.txn.Txn.waiting false;
               Tcm_metrics.Conventions.wait mx ~duration:(now - since);
               (* Ticks are the sim's native duration, so cost and the
                  ladder-tick pricing coincide (and the metrics
                  histogram sum reconciles exactly). *)
               Tcm_obs.Ledger.charge_wait obs ~cost:(now - since)
                 ~ticks:(now - since);
-              Tcm_trace.Sink.wait_end ~me:t.timestamp
-                ~enemy:threads.(enemy_tid).timestamp ~tick:now;
+              Tcm_trace.Sink.wait_end ~me:(timestamp t)
+                ~enemy:(timestamp threads.(enemy_tid)) ~tick:now;
               t.status <- Running_s;
               process_accesses t ~now
             end)
@@ -410,18 +396,19 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
                 t.progress <- t.progress + 1;
                 if t.progress >= txn.Spec.dur then begin
                   release t;
-                  Tcm_trace.Sink.attempt_commit ~txid:t.timestamp
-                    ~attempt:t.attempt_uid ~tick:(now + 1);
+                  ignore (Txn.try_commit t.party.Policy.txn);
+                  Policy.committed t.party;
+                  Tcm_trace.Sink.attempt_commit ~txid:(timestamp t)
+                    ~attempt:t.party.Policy.txn.Txn.attempt_id ~tick:(now + 1);
                   Tcm_metrics.Conventions.attempt_commit mx
                     ~duration:(now + 1 - t.attempt_start)
-                    ~read_set:(t.opens - t.opens_base);
-                  Tcm_obs.Ledger.note_commit obs ~work:(t.opens - t.opens_base);
+                    ~read_set:t.attempt_opens;
+                  Tcm_obs.Ledger.note_commit obs ~work:t.attempt_opens;
                   t.commits <- t.commits + 1;
                   incr total_commits;
                   commit_log := (t.tid, t.txn_index, now + 1) :: !commit_log;
                   t.txn <- None;
                   t.txn_index <- t.txn_index + 1;
-                  t.priority := 0;
                   t.status <- Idle_s
                 end)
         | _ -> ())
@@ -447,12 +434,15 @@ let run ?(horizon = default_horizon) ?(record_grid = false) ?ranks
 
   let tick = ref 0 in
   (* Threads discover stream exhaustion when Idle; prime the check. *)
-  while (not (all_finished ())) && !tick < horizon do
-    phase_a !tick;
-    if record_grid then grid := snapshot () :: !grid;
-    phase_b !tick;
-    incr tick
-  done;
+  Fun.protect
+    ~finally:(fun () -> List.iter Tcm_core.Cm_util.Cm_state.release !slots)
+    (fun () ->
+      while (not (all_finished ())) && !tick < horizon do
+        phase_a !tick;
+        if record_grid then grid := snapshot () :: !grid;
+        phase_b !tick;
+        incr tick
+      done);
   let completed = all_finished () in
   let commit_log = List.rev !commit_log in
   let makespan =

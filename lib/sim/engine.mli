@@ -7,7 +7,12 @@
     retained.  {b Phase B} advances every still-running thread one tick
     of work; completed transactions commit at the end of the tick.
     Accesses thus strictly precede same-tick commits, reproducing the
-    paper's "at time 1-eps, T1 accesses X1, aborting T0" exactly. *)
+    paper's "at time 1-eps, T1 accesses X1, aborting T0" exactly.
+
+    The policy's [Tcm_core] manager decides every conflict: each thread
+    holds a live [Txn.t] and its own seeded manager instance, notified
+    at the engine's begin, open, commit and abort events.  Every slab
+    slot those instances acquire is released when the run ends. *)
 
 type cell_kind = Run | Wait | Back | Idle | Done
 
@@ -31,6 +36,11 @@ type result = {
 
 val default_horizon : int
 
+val usec_per_tick : int
+(** The tick's length in microseconds: [Block] timeouts and [Backoff]
+    durations are converted with it, rounded up to at least one
+    tick. *)
+
 val run :
   ?horizon:int ->
   ?record_grid:bool ->
@@ -43,7 +53,8 @@ val run :
 (** [run ~policy ~n_objects streams]: thread [i] executes
     [streams.(i) 0], [streams.(i) 1], ... until [None].  [ranks]
     overrides the first transactions' timestamps; [ts_on_restart]
-    is the Theorem 1 ablation hook ([`Fresh] breaks retention). *)
+    is the Theorem 1 ablation hook ([`Fresh] restarts an aborted
+    transaction as a new one, with a fresh timestamp). *)
 
 val run_instance :
   ?horizon:int ->

@@ -1,308 +1,100 @@
-(** Simulated contention-manager policies.
+(** Contention managers on the simulator's tick clock.
 
-    These mirror the real managers in [Tcm_core] but operate on the
-    simulator's deterministic tick clock, so theory experiments are
-    exactly reproducible.  A policy sees only the public view of the
-    two parties — timestamp, waiting flag, accumulated priority, abort
-    count — matching the decentralised model of Section 2. *)
+    The simulator runs the very managers of [Tcm_core]: every simulated
+    thread holds a real {!Tcm_stm.Txn.t} descriptor and its own manager
+    instance, and the engine fires the manager's lifecycle hooks at its
+    own begin, open, commit and abort events.  A policy is therefore
+    just a factory, the seed its per-thread instances are drawn from,
+    and the consult entry point the engine calls. *)
 
-type view = {
-  id : int;
-  mutable timestamp : int;  (** Smaller = older = higher priority. *)
-  mutable waiting : bool;
-  priority : int ref;
-      (** Karma-style accumulated priority.  A [ref] shared with the
-          engine so Eruption can push pressure onto the blocker. *)
-  mutable aborts : int;
-  mutable opens : int;
-}
-(* Mutable so the engine can keep one cached view per simulated thread
-   and refresh it in place before each resolve, instead of allocating
-   two records per conflict (the same discipline as the live runtime's
-   slab-resident manager state).  Policies must read fields during
-   [resolve] only, never retain a view. *)
+open Tcm_stm
 
-type decision =
-  | Abort_other
-  | Abort_self
-  | Block of { timeout : int option }  (** Ticks. *)
-  | Backoff of int  (** Ticks. *)
-
-(* Flyweights for the two non-constant verdicts, mirroring
-   [Tcm_stm.Decision]: tick durations are small, so a flat table
-   covers every duration the shipped policies produce; anything
-   larger falls back to a fresh record (rare, correct, just not
-   free). *)
-let fw_max = 4_096
-let backoff_fw = Array.init fw_max (fun i -> Backoff i)
-let block_fw = Array.init fw_max (fun i -> Block { timeout = Some i })
-let block_forever = Block { timeout = None }
-let backoff d = if d >= 0 && d < fw_max then backoff_fw.(d) else Backoff d
-
-let block_for d =
-  if d >= 0 && d < fw_max then block_fw.(d) else Block { timeout = Some d }
-
-(* Deterministic stream for scenario generation (cold path; exported
-   for [Scenarios]). *)
-module Prng = Tcm_stm.Splitmix
-
-(* Allocation-free jitter stream for the policies' hot path: two plain
-   int cells of xorshift state, seeded deterministically from the
-   policy seed via splitmix.  [Splitmix] itself boxes an [Int64] per
-   draw, which would put an allocation on every randomized resolve. *)
-module Jitter = struct
-  type t = { mutable s0 : int; mutable s1 : int }
-
-  let create seed =
-    let s = Prng.create seed in
-    let cell d =
-      match Int64.to_int (Prng.next s) land max_int with 0 -> d | v -> v
-    in
-    { s0 = cell 0x9E3779B9; s1 = cell 0x6C078965 }
-
-  let next t =
-    let s0 = t.s0 and s1 = t.s1 in
-    let x = s1 lxor (s1 lsl 23) in
-    let x = x lxor (x lsr 17) lxor s0 lxor (s0 lsr 26) in
-    t.s0 <- s1;
-    t.s1 <- x;
-    (x + s1) land max_int
-
-  let int t bound = if bound <= 1 then 0 else next t mod bound
-  let bool t = next t land 1 = 1
-end
+type party = { mutable txn : Txn.t; cm : Cm_intf.packed }
 
 type t = {
   name : string;
-  resolve : me:view -> other:view -> attempts:int -> now:int -> decision;
+  factory : Cm_intf.factory;
+  seed : int;
+  resolve : me:party -> other:party -> attempts:int -> now:int -> Decision.t;
 }
 
-let older_than a b = a.timestamp < b.timestamp
+let consult ~me ~other ~attempts ~now:_ =
+  let (Cm_intf.Packed ((module M), st)) = me.cm in
+  M.resolve st ~me:me.txn ~other:other.txn ~attempts
 
-(** The greedy manager, Section 3: abort younger or waiting enemies,
-    wait (unboundedly) behind older non-waiting ones. *)
-let greedy () =
-  {
-    name = "greedy";
-    resolve =
-      (fun ~me ~other ~attempts:_ ~now:_ ->
-        if older_than me other || other.waiting then Abort_other
-        else block_forever);
-  }
+let begin_attempt p =
+  let (Cm_intf.Packed ((module M), st)) = p.cm in
+  M.begin_attempt st p.txn
 
-(** Fault-tolerant greedy, Section 6: wait behind older enemies only up
-    to a per-enemy timeout that doubles after each expiry. *)
-let greedy_ft ?(base = 4) () =
-  let grants = Hashtbl.create 16 in
-  {
-    name = "greedy-ft";
-    resolve =
-      (fun ~me ~other ~attempts ~now:_ ->
-        if older_than me other || other.waiting then Abort_other
-        else
-          (* [find] + [Not_found], not [find_opt]: the option would box
-             on every consult against a known enemy.  The doubling is
-             capped inside the {!block_for} flyweight range, so repeat
-             offenders cannot push the verdict off the table either. *)
-          let granted =
-            try Hashtbl.find grants other.timestamp with Not_found -> base
-          in
-          if attempts > 0 then begin
-            Hashtbl.replace grants other.timestamp (min (granted * 2) 1_024);
-            Abort_other
-          end
-          else block_for granted);
-  }
+let opened p =
+  let (Cm_intf.Packed ((module M), st)) = p.cm in
+  M.opened st p.txn
 
-let aggressive () =
-  { name = "aggressive"; resolve = (fun ~me:_ ~other:_ ~attempts:_ ~now:_ -> Abort_other) }
+let committed p =
+  let (Cm_intf.Packed ((module M), st)) = p.cm in
+  M.committed st p.txn
 
-let timid () =
-  { name = "timid"; resolve = (fun ~me:_ ~other:_ ~attempts:_ ~now:_ -> Abort_self) }
+let aborted p =
+  let (Cm_intf.Packed ((module M), st)) = p.cm in
+  M.aborted st p.txn
 
-let polite ?(max_tries = 6) ?(base = 1) ~seed () =
-  let prng = Jitter.create seed in
-  {
-    name = "backoff";
-    resolve =
-      (fun ~me:_ ~other:_ ~attempts ~now:_ ->
-        if attempts >= max_tries then Abort_other
-        else
-          let d = base * (1 lsl min attempts 10) in
-          backoff (d + Jitter.int prng (max 1 d)));
-  }
+let of_factory ~seed factory =
+  { name = Cm_intf.name factory; factory; seed; resolve = consult }
 
-let randomized ~seed () =
-  let prng = Jitter.create seed in
-  {
-    name = "randomized";
-    resolve =
-      (fun ~me:_ ~other:_ ~attempts:_ ~now:_ ->
-        if Jitter.bool prng then Abort_other else backoff (1 + Jitter.int prng 4));
-  }
-
-let karma ?(backoff_ticks = 2) () =
-  {
-    name = "karma";
-    resolve =
-      (fun ~me ~other ~attempts ~now:_ ->
-        if !(me.priority) + attempts > !(other.priority) then Abort_other
-        else backoff backoff_ticks);
-  }
-
-let eruption ?(backoff_ticks = 2) () =
-  {
-    name = "eruption";
-    resolve =
-      (fun ~me ~other ~attempts ~now:_ ->
-        if !(me.priority) + attempts > !(other.priority) then Abort_other
-        else begin
-          if attempts = 0 then other.priority := !(other.priority) + max 1 !(me.priority);
-          backoff backoff_ticks
-        end);
-  }
-
-let kindergarten ?(rounds = 2) () =
-  let deferred = Hashtbl.create 16 in
-  {
-    name = "kindergarten";
-    resolve =
-      (fun ~me:_ ~other ~attempts ~now:_ ->
-        if Hashtbl.mem deferred other.timestamp then Abort_other
-        else if attempts >= rounds then begin
-          Hashtbl.replace deferred other.timestamp ();
-          Abort_self
-        end
-        else backoff 1);
-  }
-
-let timestamp ?(quantum = 2) ?(max_quanta = 4) () =
-  {
-    name = "timestamp";
-    resolve =
-      (fun ~me ~other ~attempts ~now:_ ->
-        if older_than me other then Abort_other
-        else if attempts >= max_quanta then Abort_other
-        else block_for quantum);
-  }
-
-let killblocked ?(max_tries = 3) () =
-  {
-    name = "killblocked";
-    resolve =
-      (fun ~me:_ ~other ~attempts ~now:_ ->
-        if other.waiting then Abort_other
-        else if attempts >= max_tries then Abort_other
-        else backoff 1);
-  }
-
-let polka ?(base = 1) ~seed () =
-  let prng = Jitter.create seed in
-  {
-    name = "polka";
-    resolve =
-      (fun ~me ~other ~attempts ~now:_ ->
-        let gap = !(other.priority) - !(me.priority) in
-        if attempts >= max 1 gap then Abort_other
-        else
-          let d = base * (1 lsl min attempts 10) in
-          backoff (d + Jitter.int prng (max 1 d)));
-  }
-
-(** Randomized-priority greedy — a stab at the paper's closing open
-    problem ("can one use randomization to implement a contention
-    manager that is proved to behave well with high probability?").
-    Greedy's rules, but priorities are random ranks drawn once per
-    logical transaction instead of arrival timestamps: each transaction
-    hashes its (stable) timestamp through a keyed mix, so the rank is
-    retained across aborts yet independent of arrival order.  Every
-    conflict still has a strict winner, so the pending-commit property
-    and Theorem 9 carry over; what randomization buys is immunity to
-    adversaries that exploit arrival order (the Section 4 chain), at
-    the price of only probabilistic — not deterministic — bounds on any
-    one transaction's commit time. *)
-let randomized_greedy ~seed () =
-  let rank ts =
-    (* splitmix-style keyed hash of the stable timestamp, in plain int
-       arithmetic (boxed Int64 mixing would allocate per resolve). *)
-    let z = (ts + ((seed + 1) * 0x9E3779B97F4A7C1)) land max_int in
-    let z = (z lxor (z lsr 30)) * 0xBF58476D1CE4E5B land max_int in
-    let z = (z lxor (z lsr 27)) * 0x94D049BB133111E land max_int in
-    (z lxor (z lsr 31)) land 0x3FFFFFFFFFFFFFF
+let instantiate p ~tid =
+  let cm, slots =
+    Tcm_core.Cm_util.instantiate_owned ~seed:((p.seed * 65_537) + tid) p.factory
   in
-  {
-    name = "rand-greedy";
-    resolve =
-      (fun ~me ~other ~attempts:_ ~now:_ ->
-        (* Ties broken by the underlying timestamp, so a strict total
-           order survives hashing collisions; compared field-wise so no
-           tuple is built per resolve. *)
-        let rm = rank me.timestamp and ro = rank other.timestamp in
-        if
-          rm < ro
-          || (rm = ro && me.timestamp < other.timestamp)
-          || other.waiting
-        then Abort_other
-        else block_forever);
-  }
+  ({ txn = Txn.committed_sentinel; cm }, slots)
 
-(** Unbounded FIFO waiting: the manager the paper calls prone to
-    dependency cycles.  [`Unbounded`] reproduces the deadlock in the
-    simulator (the engine's horizon turns it into a detected livelock);
-    [`Bounded] matches the defensive real implementation. *)
-let queue_on_block ?(mode = `Bounded) () =
-  {
-    name = "queueonblock";
-    resolve =
-      (fun ~me:_ ~other:_ ~attempts ~now:_ ->
-        match mode with
-        | `Unbounded -> block_forever
-        | `Bounded -> if attempts >= 3 then Abort_other else block_for 8);
-  }
+(* ------------------------------------------------------------------ *)
+(* Theory-only managers                                                *)
+(* ------------------------------------------------------------------ *)
 
-(** Tick-clock analogue of [Tcm_core.Sto_adaptive].  The live manager
-    counts opens per attempt to decide when to leave the timid phase;
-    here the engine's priority counter (reset per transaction,
-    incremented per open, retained across aborts like karma's
-    investment) is the phase proxy, and the stable arrival timestamp
-    stands in for the acquired global stamp — a still-timid enemy
-    (below threshold) reads as youngest of all, exactly like the
-    [max_int] stamp sentinel.  The fight-phase wait is randomized and
-    scaled by the own abort count, bounded by [max_rounds]. *)
-let sto_adaptive ?(threshold = 3) ?(max_rounds = 8) ~seed () =
-  let prng = Jitter.create seed in
-  {
-    name = "sto-adaptive";
-    resolve =
-      (fun ~me ~other ~attempts ~now:_ ->
-        if !(me.priority) < threshold then Abort_self
-        else if !(other.priority) < threshold then Abort_other
-        else if older_than me other then Abort_other
-        else if attempts >= max_rounds then Abort_self
-        else backoff (1 + Jitter.int prng (min me.aborts 10 + 1)));
-  }
+module Unbounded_queue = struct
+  let name = "queueonblock-unbounded"
 
-(** Everything comparable, for sweeps.  [seed] feeds the randomized
-    policies so whole sweeps stay deterministic. *)
+  type t = unit
+
+  let create () = ()
+
+  include Tcm_core.Cm_util.No_lifecycle
+
+  let resolve () ~me:_ ~other:_ ~attempts:_ = Decision.block_forever
+end
+
+module Rand_greedy = struct
+  let name = "rand-greedy"
+
+  type t = Tcm_core.Cm_util.Prng.t
+
+  let create () = Tcm_core.Cm_util.Prng.create ()
+
+  (* The rank is drawn once per logical transaction and published in
+     the shared descriptor, so it survives aborts and every enemy reads
+     the same value. *)
+  let begin_attempt prng me =
+    if Txn.cm_stamp me = Txn.no_cm_stamp then
+      Txn.set_cm_stamp me (Tcm_core.Cm_util.Prng.int prng Txn.no_cm_stamp)
+
+  let opened _ _ = ()
+  let committed _ _ = ()
+  let aborted _ _ = ()
+
+  (* Greedy's rules over (rank, timestamp): a strict total order even
+     when two ranks collide. *)
+  let resolve _ ~me ~other ~attempts:_ =
+    let rm = Txn.cm_stamp me and ro = Txn.cm_stamp other in
+    if rm < ro || (rm = ro && Txn.older_than me other) || Txn.is_waiting other then
+      Decision.abort_other
+    else Decision.block_forever
+end
+
+let greedy () = of_factory ~seed:0 (module Tcm_core.Greedy)
+let unbounded_queue () = of_factory ~seed:0 (module Unbounded_queue)
+let randomized_greedy ~seed () = of_factory ~seed (module Rand_greedy)
+
 let all ~seed () =
-  [
-    greedy ();
-    greedy_ft ();
-    randomized_greedy ~seed ();
-    aggressive ();
-    polite ~seed ();
-    randomized ~seed ();
-    karma ();
-    eruption ();
-    kindergarten ();
-    timestamp ();
-    killblocked ();
-    polka ~seed ();
-    queue_on_block ();
-    timid ();
-    sto_adaptive ~seed ();
-  ]
+  List.map (of_factory ~seed) Tcm_core.Registry.all @ [ randomized_greedy ~seed () ]
 
-(** The paper's Figure 1–4 line-up. *)
-let paper_figures ~seed () =
-  [ greedy (); karma (); eruption (); aggressive (); polite ~seed () ]
+let paper_figures ~seed () = List.map (of_factory ~seed) Tcm_core.Registry.paper_figures

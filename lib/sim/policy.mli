@@ -1,76 +1,70 @@
-(** Simulated contention-manager policies, mirroring [Tcm_core] on the
-    deterministic tick clock.  A policy sees only the public view of
-    the two parties (Section 2's decentralised model). *)
+(** Contention managers on the simulator's tick clock: the [Tcm_core]
+    zoo itself, not a copy.  Each simulated thread is a {!party} — a
+    real transaction descriptor plus its own manager instance — and the
+    engine consults the instance exactly as the live runtimes do. *)
 
-type view = {
-  id : int;
-  mutable timestamp : int;  (** Smaller = older = higher priority. *)
-  mutable waiting : bool;
-  priority : int ref;  (** Shared with the engine; Eruption mutates it. *)
-  mutable aborts : int;
-  mutable opens : int;
-}
-(** Mutable so the engine can keep one cached view per simulated thread
-    and refresh it in place before each resolve (no per-conflict
-    allocation).  Policies read fields during [resolve] only — a view
-    must never be retained across calls. *)
+open Tcm_stm
 
-type decision =
-  | Abort_other
-  | Abort_self
-  | Block of { timeout : int option }  (** Ticks. *)
-  | Backoff of int  (** Ticks. *)
-
-val backoff : int -> decision
-(** Preallocated [Backoff] for tick durations below an internal bound
-    (larger durations fall back to a fresh record). *)
-
-val block_for : int -> decision
-(** Preallocated bounded [Block], likewise. *)
-
-val block_forever : decision
-
-module Prng = Tcm_stm.Splitmix
+type party = { mutable txn : Txn.t; cm : Cm_intf.packed }
+(** One simulated thread as its manager sees it.  [txn] is the current
+    attempt's descriptor (timestamp, priority, opens, [cm_stamp],
+    [waiting] and status); the engine swaps it at every new attempt. *)
 
 type t = {
   name : string;
-  resolve : me:view -> other:view -> attempts:int -> now:int -> decision;
+  factory : Cm_intf.factory;
+  seed : int;  (** Seeds every per-thread instance (see {!instantiate}). *)
+  resolve : me:party -> other:party -> attempts:int -> now:int -> Decision.t;
+      (** The engine's conflict entry point; {!of_factory} sets it to
+          [me]'s manager instance's [resolve].  A field so callers can
+          wrap it (e.g. to time each consult). *)
 }
 
-val older_than : view -> view -> bool
+val of_factory : seed:int -> Cm_intf.factory -> t
+
+val instantiate : t -> tid:int -> party * Tcm_core.Cm_util.Cm_state.slot list
+(** Thread [tid]'s party with a fresh manager instance, its PRNG
+    streams seeded from the policy seed and [tid].  The slots are the
+    caller's to release when the run ends. *)
+
+(** {1 Lifecycle hooks}
+
+    The party's manager instance, notified about its current
+    descriptor. *)
+
+val begin_attempt : party -> unit
+val opened : party -> unit
+val committed : party -> unit
+val aborted : party -> unit
+
+(** {1 Theory-only managers}
+
+    Two managers that cannot run live, written against the same
+    {!Cm_intf.S} and consulted through the same path. *)
+
+module Unbounded_queue : Cm_intf.S
+(** Wait behind every enemy with no timeout: the dependency-cycle
+    livelock the paper warns about ([Tcm_core.Queue_on_block] bounds
+    its waits so two real threads cannot deadlock). *)
+
+module Rand_greedy : Cm_intf.S
+(** Greedy with random priorities, an experiment on the paper's
+    closing open problem: each logical transaction draws a random rank
+    once (published in [cm_stamp], retained across aborts) and greedy's
+    rules compare ranks, timestamps breaking ties.  The strict total
+    order keeps the pending-commit property; arrival-order adversaries
+    such as the Section 4 chain lose their grip. *)
+
+(** {1 Line-ups} *)
 
 val greedy : unit -> t
-val greedy_ft : ?base:int -> unit -> t
-val aggressive : unit -> t
-val timid : unit -> t
-val polite : ?max_tries:int -> ?base:int -> seed:int -> unit -> t
-val randomized : seed:int -> unit -> t
-val karma : ?backoff_ticks:int -> unit -> t
-val eruption : ?backoff_ticks:int -> unit -> t
-val kindergarten : ?rounds:int -> unit -> t
-val timestamp : ?quantum:int -> ?max_quanta:int -> unit -> t
-val killblocked : ?max_tries:int -> unit -> t
-val polka : ?base:int -> seed:int -> unit -> t
-
+val unbounded_queue : unit -> t
 val randomized_greedy : seed:int -> unit -> t
-(** Greedy with random (hash-of-timestamp) priorities retained across
-    aborts — an experiment on the paper's closing open problem.  Keeps
-    the pending-commit property (strict total order on ranks) but is
-    immune to adversaries that exploit arrival order. *)
-
-val queue_on_block : ?mode:[ `Bounded | `Unbounded ] -> unit -> t
-(** [`Unbounded] reproduces the dependency-cycle livelock the paper
-    warns about; [`Bounded] matches the defensive real manager. *)
-
-val sto_adaptive : ?threshold:int -> ?max_rounds:int -> seed:int -> unit -> t
-(** Tick-clock analogue of [Tcm_core.Sto_adaptive]: abort self while
-    the current transaction's investment (priority counter) is below
-    [threshold], then fight greedy-by-age — still-timid enemies read
-    as youngest — with a randomized, abort-scaled, [max_rounds]-bounded
-    wait. *)
 
 val all : seed:int -> unit -> t list
+(** Every [Tcm_core.Registry] manager, in registry order, then
+    rand-greedy. *)
 
 val paper_figures : seed:int -> unit -> t list
-(** The Figure 1–4 line-up: greedy, karma, eruption, aggressive,
-    backoff. *)
+(** [Tcm_core.Registry.paper_figures]: greedy, karma, eruption,
+    aggressive, backoff. *)

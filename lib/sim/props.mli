@@ -21,4 +21,6 @@ val theorem9_check : inst:Spec.instance -> Engine.result -> bound_report
 (** Simulated makespan vs the best off-line list schedule. *)
 
 val greedy_abort_budget : n:int -> Engine.result -> bool
-(** Aggregate Theorem 1 check: one-shot aborts <= n(n-1)/2. *)
+(** One-shot greedy run of [n] transactions: completed, with at most
+    [n - 1] aborts per tick of makespan (the bound greedy's rules
+    imply; see the implementation for the argument). *)

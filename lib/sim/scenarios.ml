@@ -4,8 +4,7 @@
     Theorem 9 bound sweep, and the dependency-cycle instance that
     defeats unbounded FIFO waiting. *)
 
-(* Deterministic splitmix64 for instance generation. *)
-module Prng = Policy.Prng
+open Tcm_stm
 
 (** The Section 4 chain, in ticks of [granularity] per paper time unit
     (>= 2 so the late access lands strictly before the commit, the
@@ -35,8 +34,8 @@ let adversarial_chain ?(granularity = 2) ~s () : Spec.instance * int array =
   (inst, ranks)
 
 (** Two transactions that each open the other's first object late —
-    under unbounded FIFO waiting ([Policy.queue_on_block
-    ~mode:`Unbounded]) they cycle forever. *)
+    under unbounded FIFO waiting ([Policy.Unbounded_queue]) they cycle
+    forever. *)
 let dependency_cycle () : Spec.instance =
   Spec.instance
     [
@@ -59,12 +58,13 @@ let halted_owner ?(n = 4) () : Spec.instance =
     write accesses at random progress points.  Deterministic in
     [seed]. *)
 let random_instance ~seed ~n ~s ?(max_dur = 6) ?(max_acc = 3) () : Spec.instance =
-  let prng = Prng.create seed in
+  let prng = Splitmix.create seed in
   let txn_of _ =
-    let dur = 1 + Prng.int prng max_dur in
-    let k = 1 + Prng.int prng max_acc in
+    let dur = 1 + Splitmix.int prng max_dur in
+    let k = 1 + Splitmix.int prng max_acc in
     let accesses =
-      List.init k (fun _ -> Spec.write ~at:(Prng.int prng dur) ~obj:(Prng.int prng s))
+      List.init k (fun _ ->
+          Spec.write ~at:(Splitmix.int prng dur) ~obj:(Splitmix.int prng s))
     in
     (* Deduplicate objects: keep the earliest access to each. *)
     let seen = Hashtbl.create 8 in
@@ -89,10 +89,10 @@ let random_instance ~seed ~n ~s ?(max_dur = 6) ?(max_acc = 3) () : Spec.instance
     service layer skews its keys with — and stay deterministic in
     [seed]. *)
 let hotspot_instance ~seed ~n ~s ?(theta = 0.9) ~dur () : Spec.instance =
-  let prng = Prng.create seed in
+  let prng = Splitmix.create seed in
   let zipf = Tcm_dist.Samplers.Zipf.create ~n:s ~theta in
   let txn_of _ =
     let o = Tcm_dist.Samplers.Zipf.draw zipf prng in
-    Spec.txn ~dur [ Spec.write ~at:(Prng.int prng dur) ~obj:o ]
+    Spec.txn ~dur [ Spec.write ~at:(Splitmix.int prng dur) ~obj:o ]
   in
   Spec.instance (List.init n txn_of)

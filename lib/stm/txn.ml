@@ -57,14 +57,16 @@ type t = {
   shared : shared;
 }
 
-let new_shared () =
+let new_shared_at timestamp =
   {
-    timestamp = Txid.next_timestamp ();
+    timestamp;
     priority = 0;
     aborts = 0;
     opens = 0;
     cm_stamp = max_int;
   }
+
+let new_shared () = new_shared_at (Txid.next_timestamp ())
 
 let new_attempt shared =
   {

@@ -39,6 +39,11 @@ type t = {
 val new_shared : unit -> shared
 (** Fresh logical transaction: takes the next global timestamp. *)
 
+val new_shared_at : int -> shared
+(** Fresh logical transaction with an explicit timestamp, for callers
+    that order transactions themselves (the simulator's arrival order
+    and explicit ranks); never draws from the global counter. *)
+
 val new_attempt : shared -> t
 
 val committed_sentinel : t

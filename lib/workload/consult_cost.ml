@@ -12,9 +12,9 @@
     counters are exact.
 
     Rows exist for both STM backends (whose [consult] entry points are
-    distinct code paths) and for the simulator's policy table, which
-    shares the allocation discipline.  The gates in {!check} are the
-    teeth: at most {!max_minor_words} minor words per resolve (i.e.
+    distinct code paths) and for the simulator, whose policies consult
+    the same managers through its own entry point.  The gates in
+    {!check} are the teeth: at most {!max_minor_words} minor words per resolve (i.e.
     zero, with room for measurement noise), an absolute latency
     ceiling, and a flatness band across managers of the same backend —
     a manager whose consult is an order of magnitude off its peers has
@@ -114,32 +114,30 @@ let measure_manager ~iters backend factory =
     minor_words_per_resolve = minor;
   }
 
-(* Sim rows: one cached view per party (as the engine keeps them),
-   parameters chosen so age- and priority-based policies take their
-   non-trivial branches and the adaptive analogue is in its fight
-   phase on both sides. *)
+(* Sim rows: the engine's consult path over two parties, each with its
+   own seeded instance, warmed exactly like the backend rows above (so
+   the adaptive manager is in its fight phase). *)
 let measure_policy ~iters (p : Tcm_sim.Policy.t) =
-  let view id ts pri =
-    {
-      Tcm_sim.Policy.id;
-      timestamp = ts;
-      waiting = false;
-      priority = ref pri;
-      aborts = 2;
-      opens = 20;
-    }
+  let me_txn, other_txn = conflict_pair () in
+  let party tid txn =
+    let party, slots = Tcm_sim.Policy.instantiate p ~tid in
+    party.Tcm_sim.Policy.txn <- txn;
+    (party, slots)
   in
-  let me = view 0 2 5 and other = view 1 1 6 in
+  let me, me_slots = party 0 me_txn and other, other_slots = party 1 other_txn in
+  Tcm_sim.Policy.begin_attempt me;
+  for _ = 1 to warm_opens do
+    Tcm_sim.Policy.opened me
+  done;
   let ns, minor =
     measure_loop ~iters (fun n ->
         for i = 1 to n do
-          match
-            p.Tcm_sim.Policy.resolve ~me ~other ~attempts:(i land 3) ~now:i
-          with
-          | Tcm_sim.Policy.Abort_other -> incr sink
+          match p.Tcm_sim.Policy.resolve ~me ~other ~attempts:(i land 3) ~now:i with
+          | Decision.Abort_other -> incr sink
           | _ -> ()
         done)
   in
+  List.iter Tcm_core.Cm_util.Cm_state.release (me_slots @ other_slots);
   {
     manager = p.Tcm_sim.Policy.name;
     backend = "sim";

@@ -1,7 +1,7 @@
 (** Consult-path cost probe: ns and GC minor words per [resolve], per
-    manager × backend ("locator", "tl2", plus the simulator's policy
-    table as backend "sim").  Measurement core shared by
-    [bench/consult_cost.exe] (the @cm-smoke gate) and [bench
+    manager × backend ("locator", "tl2", plus the simulator's consult
+    path over [Tcm_sim.Policy.all] as backend "sim").  Measurement core
+    shared by [bench/consult_cost.exe] (the @cm-smoke gate) and [bench
     --consult]; {!check} holds the gate thresholds. *)
 
 type row = {

@@ -188,7 +188,9 @@ let run ?poll (cfg : config) : outcome =
   let elapsed = Unix.gettimeofday () -. t0 in
   let s = Stm.stats rt in
   let commits = Array.fold_left ( + ) 0 per_thread in
-  let pcts = Stats.percentiles [| 50.; 99. |] (Array.concat (Array.to_list latencies)) in
+  let pcts =
+    Tcm_dist.Stats.percentiles [| 50.; 99. |] (Array.concat (Array.to_list latencies))
+  in
   let wx =
     Tcm_metrics.Conventions.for_workload
       ~workload:(structure_name cfg.structure)

@@ -427,16 +427,15 @@ let t_paper_lineup () =
 
 (* Both runtime backends expose the same conflict adapter
    ([Runtime.consult] and [Tl2.consult]): unpack the per-domain
-   manager instance and ask it to resolve.  The manager zoo is the
-   experiment under test in this repo, so the two backends must agree
+   manager instance and ask it to resolve; the simulator's
+   [Policy.resolve] does the same over its parties.  The manager zoo is
+   the experiment under test in this repo, so all three must agree
    verdict-for-verdict on an identical conflict history — otherwise a
-   locator-vs-TL2 benchmark difference could be a contention-policy
-   difference in disguise.  The duel below scripts both priority
-   directions, escalating attempt counts, and the waiting flag (the
-   input Greedy-family rule 1 keys on); each backend replays it against
-   its own fresh manager instance (stateful managers — Karma, Polite,
-   Kindergarten — advance their state identically when fed identical
-   inputs). *)
+   locator-vs-TL2 or live-vs-sim difference could be a
+   contention-policy difference in disguise.  The scripted duel below
+   covers both priority directions, escalating attempt counts, and the
+   waiting flag (the input Greedy-family rule 1 keys on); each backend
+   replays it against its own fresh manager instance. *)
 
 type duel_step = { me_older : bool; attempts : int; other_waiting : bool }
 
@@ -462,52 +461,101 @@ let replay consult ~older ~younger =
       d)
     duel_script
 
+(* The duel above is scripted; this one draws the party states: both
+   descriptors' timestamp order, waiting flag, priority, abort and open
+   counts, cm_stamp and status, and the attempt count, from a fixed
+   seed.  Three adapters see each drawn state — [Runtime.consult],
+   [Tl2.consult] and the simulator's [Policy.resolve] over parties —
+   each against its own manager instance, all three seeded identically
+   so that even the randomized managers must agree exactly.  The
+   descriptors are rebuilt before every call, because managers write
+   to them (Eruption pushes priority onto the enemy).  Durations are
+   compared in microseconds, before the simulator's tick conversion. *)
+type party_state = {
+  ts : int;
+  waiting : bool;
+  priority : int;
+  aborts : int;
+  opens : int;
+  stamp : int;
+  aborted : bool;
+}
+
+let draw_party rng ~ts =
+  let int n = Random.State.int rng n in
+  {
+    ts;
+    waiting = int 3 = 0;
+    priority = int 8;
+    aborts = int 4;
+    opens = int 16;
+    stamp = (if int 3 = 0 then Txn.no_cm_stamp else 1 + int 4);
+    aborted = int 6 = 0;
+  }
+
+let txn_of (p : party_state) =
+  let shared = Txn.new_shared_at p.ts in
+  shared.Txn.priority <- p.priority;
+  shared.Txn.aborts <- p.aborts;
+  shared.Txn.opens <- p.opens;
+  shared.Txn.cm_stamp <- p.stamp;
+  let t = Txn.new_attempt shared in
+  set_waiting t p.waiting;
+  if p.aborted then ignore (Txn.try_abort t);
+  t
+
 let t_backends_agree () =
-  List.iter
-    (fun factory ->
+  let rng = Random.State.make [| 2006 |] in
+  List.iteri
+    (fun k factory ->
       let name = Cm_intf.name factory in
-      (* One txn pair shared by both replays: timestamps, priorities
-         and ids must be identical inputs, only the manager instance
-         (and the adapter under test) differs. *)
-      let older, younger = fresh_pair () in
-      let via_locator =
-        replay (Runtime.consult (Cm_intf.instantiate factory)) ~older ~younger
-      in
-      let via_tl2 = replay (Tl2.consult (Cm_intf.instantiate factory)) ~older ~younger in
-      if String.equal name "randomized" then
-        (* Coin-flipping manager: exact agreement is not required (nor
-           meaningful); both backends must stay inside its published
-           verdict range. *)
-        List.iter
-          (fun d ->
-            match d with
-            | Decision.Abort_other | Decision.Backoff _ -> ()
-            | d -> Alcotest.failf "randomized out of range: %a" Decision.pp d)
-          (via_locator @ via_tl2)
-      else
-        (* Backoff durations are jittered per manager instance (Polite
-           and Polka draw from a private PRNG), so agreement there is
-           up to the duration; every other verdict — including block
-           timeouts, which Greedy-FT doubles deterministically — must
-           match exactly. *)
-        let agree a b =
-          match (a, b) with
-          | Decision.Backoff _, Decision.Backoff _ -> true
-          | a, b -> a = b
+      let seed = 100 + k in
+      let loc, s1 = Cm_util.instantiate_owned ~seed factory in
+      let tl2, s2 = Cm_util.instantiate_owned ~seed factory in
+      let sim_cm, s3 = Cm_util.instantiate_owned ~seed factory in
+      let sim = Tcm_sim.Policy.of_factory ~seed factory in
+      for step = 0 to 199 do
+        let me_ts = 1 + Random.State.int rng 2 in
+        let me = draw_party rng ~ts:me_ts in
+        let other = draw_party rng ~ts:(3 - me_ts) in
+        let me = { me with waiting = false; aborted = false } in
+        let attempts = Random.State.int rng 12 in
+        let via_locator =
+          Runtime.consult loc ~me:(txn_of me) ~other:(txn_of other) ~attempts
         in
-        List.iteri
-          (fun i (dl, dt) ->
-            if not (agree dl dt) then
-              Alcotest.failf "%s: step %d disagrees: locator %a, tl2 %a" name i
-                Decision.pp dl Decision.pp dt)
-          (List.combine via_locator via_tl2))
+        let via_tl2 = Tl2.consult tl2 ~me:(txn_of me) ~other:(txn_of other) ~attempts in
+        let via_sim =
+          sim.Tcm_sim.Policy.resolve
+            ~me:{ Tcm_sim.Policy.txn = txn_of me; cm = sim_cm }
+            ~other:{ Tcm_sim.Policy.txn = txn_of other; cm = sim_cm }
+            ~attempts ~now:step
+        in
+        if not (via_locator = via_tl2 && via_tl2 = via_sim) then
+          Alcotest.failf "%s: step %d disagrees: locator %a, tl2 %a, sim %a" name step
+            Decision.pp via_locator Decision.pp via_tl2 Decision.pp via_sim
+      done;
+      List.iter Cm_util.Cm_state.release (s1 @ s2 @ s3))
     Registry.all
 
-(* The registry-wide duel above exercises sto-adaptive only in its
-   timid phase (no opens are replayed, so both backends deterministically
-   see Abort_self).  Stamp both parties by hand to duel the fight phase
-   too: verdict classes are deterministic given the stamps, with
-   agreement up to the jittered backoff duration as usual. *)
+(* Every simulator run hands back every slab slot its per-thread
+   manager instances acquired: the main domain never exits, so a
+   domain-exit hook would leak them run after run. *)
+let t_sim_runs_release_slots () =
+  let inst = Tcm_sim.Scenarios.random_instance ~seed:3 ~n:4 ~s:2 () in
+  List.iter
+    (fun (p : Tcm_sim.Policy.t) ->
+      let before = Cm_util.Cm_state.live_slots () in
+      ignore (Tcm_sim.Engine.run_instance ~horizon:2_000 ~policy:p inst);
+      Alcotest.(check int) (p.Tcm_sim.Policy.name ^ " slots released") before
+        (Cm_util.Cm_state.live_slots ()))
+    (Tcm_sim.Policy.all ~seed:1 ())
+
+(* The scripted duel with both parties stamped by hand, so the
+   sto-adaptive fight phase is pinned on a fixed history too (the
+   drawn duel above reaches it only through random stamps): verdict
+   classes are deterministic given the stamps, with agreement up to
+   the jittered backoff duration, as the two instances here are
+   self-seeded. *)
 let t_sto_fight_cross_backend () =
   let factory : Cm_intf.factory = (module Sto_adaptive) in
   let older, younger = fresh_pair () in
@@ -722,5 +770,6 @@ let () =
           Alcotest.test_case "no cross-domain bleed" `Quick t_slab_no_cross_domain_bleed;
           Alcotest.test_case "table round-trip and reset" `Quick t_table_ops;
           Alcotest.test_case "table bounded under pressure" `Quick t_table_bounded;
+          Alcotest.test_case "sim runs release their slots" `Quick t_sim_runs_release_slots;
         ] );
     ]

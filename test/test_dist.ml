@@ -1,14 +1,84 @@
-(* Statistical tests for the shared tcm.dist samplers: the Zipf(θ)
-   rank-frequency law, the Poisson inter-arrival distribution, and the
-   weighted class picker.  Sample sizes and tolerances are chosen so
-   the checks are deterministic under the fixed seeds yet would catch
-   a broken formula (wrong exponent, off-by-one rank, biased picker) by
-   a wide margin. *)
+(* Tests for tcm.dist: the statistics helpers, and statistical tests of
+   the shared samplers — the Zipf(θ) rank-frequency law, the Poisson
+   inter-arrival distribution, and the weighted class picker.  Sample
+   sizes and tolerances are chosen so the checks are deterministic
+   under the fixed seeds yet would catch a broken formula (wrong
+   exponent, off-by-one rank, biased picker) by a wide margin. *)
 
 module S = Tcm_dist.Samplers
+module St = Tcm_dist.Stats
 module Rng = Tcm_stm.Splitmix
 
 let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
+let check_float = Alcotest.(check (float 1e-9))
+
+(* ------------------------------------------------------------------ *)
+(* Stats                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let t_mean () =
+  check_float "empty" 0. (St.mean []);
+  check_float "values" 2. (St.mean [ 1.; 2.; 3. ])
+
+let t_stddev () =
+  check_float "empty" 0. (St.stddev []);
+  check_float "singleton" 0. (St.stddev [ 5. ]);
+  check_float "known sample" 1. (St.stddev [ 1.; 2.; 3. ])
+
+let t_percentile () =
+  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
+  check_float "p50" 50. (St.percentile 50. xs);
+  check_float "p99" 99. (St.percentile 99. xs);
+  check_float "p100" 100. (St.percentile 100. xs);
+  check_float "median alias" 50. (St.median xs);
+  (* An empty sample has no percentiles: nan, not a fake 0. *)
+  check_bool "empty is nan" true (Float.is_nan (St.percentile 50. []));
+  check_bool "empty median is nan" true (Float.is_nan (St.median []))
+
+(* [percentiles] must give exactly [percentile]'s values, samples with
+   repeats and every rank edge included. *)
+let t_percentiles_match () =
+  let rng = Tcm_stm.Splitmix.create 17 in
+  let ps = [| 0.; 1.; 25.; 50.; 90.; 99.; 99.9; 100. |] in
+  for trial = 0 to 199 do
+    let n = if trial < 10 then trial else 1 + Tcm_stm.Splitmix.int rng 3000 in
+    let xs =
+      Array.init n (fun _ ->
+          if Tcm_stm.Splitmix.bool rng then float_of_int (Tcm_stm.Splitmix.int rng 50)
+          else Tcm_stm.Splitmix.float rng *. 1e4)
+    in
+    let got = St.percentiles ps xs in
+    let before = Array.copy xs in
+    ignore (St.percentiles ps xs);
+    check_bool "input left unsorted" true (before = xs);
+    Array.iteri
+      (fun i p ->
+        let want = St.percentile p (Array.to_list xs) in
+        if n = 0 then check_bool "empty is nan" true (Float.is_nan got.(i))
+        else
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "n=%d p%g" n p) want got.(i))
+      ps
+  done
+
+let t_cv () =
+  check_float "no spread" 0. (St.cv [ 4.; 4.; 4. ]);
+  check_float "zero mean" 0. (St.cv [ 0.; 0. ]);
+  check_bool "high variance detected" true (St.cv [ 1.; 1.; 1.; 100. ] > 1.)
+
+let t_histogram () =
+  let h = St.histogram ~buckets:4 ~lo:0. ~hi:4. [ 0.5; 1.5; 1.6; 3.9; 7. ] in
+  Alcotest.(check (array int)) "buckets" [| 1; 2; 0; 1 |] h
+
+let t_histogram_upper_edge () =
+  (* Regression: a sample exactly at [hi] (the p100 of a latency run)
+     must land in the last bucket, not vanish. *)
+  let h = St.histogram ~buckets:4 ~lo:0. ~hi:4. [ 0.; 4. ] in
+  Alcotest.(check (array int)) "both edges kept" [| 1; 0; 0; 1 |] h;
+  let n = Array.fold_left ( + ) 0 (St.histogram ~buckets:8 ~lo:0. ~hi:10. [ 10.; 10. ]) in
+  check_int "no sample at hi dropped" 2 n
+
 
 (* ------------------------------------------------------------------ *)
 (* Zipf                                                                *)
@@ -238,6 +308,16 @@ let t_pick_weighted_invalid () =
 let () =
   Alcotest.run "dist"
     [
+      ( "stats",
+        [
+          Alcotest.test_case "mean" `Quick t_mean;
+          Alcotest.test_case "stddev" `Quick t_stddev;
+          Alcotest.test_case "percentiles" `Quick t_percentile;
+          Alcotest.test_case "percentiles match percentile" `Quick t_percentiles_match;
+          Alcotest.test_case "coefficient of variation" `Quick t_cv;
+          Alcotest.test_case "histogram" `Quick t_histogram;
+          Alcotest.test_case "histogram upper edge" `Quick t_histogram_upper_edge;
+        ] );
       ( "zipf",
         [
           Alcotest.test_case "bounds and determinism" `Quick t_zipf_bounds_and_determinism;

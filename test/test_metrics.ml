@@ -51,7 +51,7 @@ let t_floor_log2 () =
 
 let t_percentile_vs_exact () =
   (* Log2 buckets promise a within-2x estimate; check against the exact
-     nearest-rank percentile from lib/workload's Stats on a spread
+     nearest-rank percentile from Tcm_dist.Stats on a spread
      deterministic sample. *)
   let rng = Tcm_stm.Splitmix.create 11 in
   let samples = List.init 500 (fun _ -> 1 + Tcm_stm.Splitmix.int rng 10_000) in
@@ -63,7 +63,7 @@ let t_percentile_vs_exact () =
     samples;
   List.iter
     (fun p ->
-      let exact = Tcm_workload.Stats.percentile p (List.map float_of_int samples) in
+      let exact = Tcm_dist.Stats.percentile p (List.map float_of_int samples) in
       let est = M.Buckets.percentile ~counts p in
       check_bool
         (Printf.sprintf "p%.0f within 2x (exact %.0f, est %.0f)" p exact est)

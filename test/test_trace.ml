@@ -375,8 +375,9 @@ let t_sim_aggressive_duel_violates () =
   in
   Sink.start ();
   let r =
-    Tcm_sim.Engine.run ~horizon:60 ~policy:(Tcm_sim.Policy.aggressive ()) ~n_objects:1
-      streams
+    Tcm_sim.Engine.run ~horizon:60
+      ~policy:(Tcm_sim.Policy.of_factory ~seed:0 (module Tcm_core.Aggressive))
+      ~n_objects:1 streams
   in
   Sink.stop ();
   let tr = Sink.collect () in

@@ -1,4 +1,4 @@
-(** Tests for the workload layer: statistics, the live-STM harness, the
+(** Tests for the workload layer: the JSON codec, the live-STM harness, the
     simulator-backed figure models, the figure sweeps and the report
     rendering. *)
 
@@ -6,56 +6,10 @@ open Tcm_workload
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let check_float = Alcotest.(check (float 1e-9))
 
 (* ------------------------------------------------------------------ *)
-(* Stats                                                               *)
+(* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
-
-let t_mean () =
-  check_float "empty" 0. (Stats.mean []);
-  check_float "values" 2. (Stats.mean [ 1.; 2.; 3. ])
-
-let t_stddev () =
-  check_float "empty" 0. (Stats.stddev []);
-  check_float "singleton" 0. (Stats.stddev [ 5. ]);
-  check_float "known sample" 1. (Stats.stddev [ 1.; 2.; 3. ])
-
-let t_percentile () =
-  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  check_float "p50" 50. (Stats.percentile 50. xs);
-  check_float "p99" 99. (Stats.percentile 99. xs);
-  check_float "p100" 100. (Stats.percentile 100. xs);
-  check_float "median alias" 50. (Stats.median xs);
-  (* An empty sample has no percentiles: nan, not a fake 0. *)
-  check_bool "empty is nan" true (Float.is_nan (Stats.percentile 50. []));
-  check_bool "empty median is nan" true (Float.is_nan (Stats.median []))
-
-(* [percentiles] must give exactly [percentile]'s values, samples with
-   repeats and every rank edge included. *)
-let t_percentiles_match () =
-  let rng = Tcm_stm.Splitmix.create 17 in
-  let ps = [| 0.; 1.; 25.; 50.; 90.; 99.; 99.9; 100. |] in
-  for trial = 0 to 199 do
-    let n = if trial < 10 then trial else 1 + Tcm_stm.Splitmix.int rng 3000 in
-    let xs =
-      Array.init n (fun _ ->
-          if Tcm_stm.Splitmix.bool rng then float_of_int (Tcm_stm.Splitmix.int rng 50)
-          else Tcm_stm.Splitmix.float rng *. 1e4)
-    in
-    let got = Stats.percentiles ps xs in
-    let before = Array.copy xs in
-    ignore (Stats.percentiles ps xs);
-    check_bool "input left unsorted" true (before = xs);
-    Array.iteri
-      (fun i p ->
-        let want = Stats.percentile p (Array.to_list xs) in
-        if n = 0 then check_bool "empty is nan" true (Float.is_nan got.(i))
-        else
-          Alcotest.(check (float 0.))
-            (Printf.sprintf "n=%d p%g" n p) want got.(i))
-      ps
-  done
 
 let t_json_emit () =
   let open Report.Json in
@@ -100,23 +54,6 @@ let t_json_parse_roundtrip () =
            false
          with Parse_error _ -> true))
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2" ]
-
-let t_cv () =
-  check_float "no spread" 0. (Stats.cv [ 4.; 4.; 4. ]);
-  check_float "zero mean" 0. (Stats.cv [ 0.; 0. ]);
-  check_bool "high variance detected" true (Stats.cv [ 1.; 1.; 1.; 100. ] > 1.)
-
-let t_histogram () =
-  let h = Stats.histogram ~buckets:4 ~lo:0. ~hi:4. [ 0.5; 1.5; 1.6; 3.9; 7. ] in
-  Alcotest.(check (array int)) "buckets" [| 1; 2; 0; 1 |] h
-
-let t_histogram_upper_edge () =
-  (* Regression: a sample exactly at [hi] (the p100 of a latency run)
-     must land in the last bucket, not vanish. *)
-  let h = Stats.histogram ~buckets:4 ~lo:0. ~hi:4. [ 0.; 4. ] in
-  Alcotest.(check (array int)) "both edges kept" [| 1; 0; 0; 1 |] h;
-  let n = Array.fold_left ( + ) 0 (Stats.histogram ~buckets:8 ~lo:0. ~hi:10. [ 10.; 10. ]) in
-  check_int "no sample at hi dropped" 2 n
 
 (* ------------------------------------------------------------------ *)
 (* Harness (live STM)                                                  *)
@@ -211,11 +148,12 @@ let t_forest_long_txns_exist () =
   check_bool "short transactions occur" true short;
   check_bool "50-tree transactions occur" true long;
   check_bool "length variance is high" true
-    (Stats.cv (List.map float_of_int durs) > 1.)
+    (Tcm_dist.Stats.cv (List.map float_of_int durs) > 1.)
 
 let t_sim_run_deterministic () =
   let run () =
-    Sim_load.run ~horizon:800 ~seed:9 ~threads:4 ~policy:(Tcm_sim.Policy.karma ())
+    Sim_load.run ~horizon:800 ~seed:9 ~threads:4
+      ~policy:(Tcm_sim.Policy.of_factory ~seed:0 (module Tcm_core.Karma))
       Sim_load.rbtree_model
   in
   let a = run () and b = run () in
@@ -552,15 +490,8 @@ let () =
     [
       ( "stats",
         [
-          Alcotest.test_case "mean" `Quick t_mean;
-          Alcotest.test_case "stddev" `Quick t_stddev;
-          Alcotest.test_case "percentiles" `Quick t_percentile;
-          Alcotest.test_case "percentiles match percentile" `Quick t_percentiles_match;
           Alcotest.test_case "json emitter" `Quick t_json_emit;
           Alcotest.test_case "json parse roundtrip" `Quick t_json_parse_roundtrip;
-          Alcotest.test_case "coefficient of variation" `Quick t_cv;
-          Alcotest.test_case "histogram" `Quick t_histogram;
-          Alcotest.test_case "histogram upper edge" `Quick t_histogram_upper_edge;
         ] );
       ( "harness",
         [
